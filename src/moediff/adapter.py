@@ -30,16 +30,13 @@ class Adapter:
         self.mixer = LocalMixer(dim, dtype=dtype)
         self.block_out = EncoderBlock(dim, heads, ff_multiple * dim, rng, dtype=dtype)
 
-    def __call__(self, x: Tensor, use_mixer: bool = True,
-                 key_mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
         x = self.block_in(x, key_mask=key_mask)
-        if use_mixer:
-            x = self.mixer(x)
+        x = self.mixer(x)
         return self.block_out(x, key_mask=key_mask)
 
 
-def adapt(adapter: Adapter, instances, use_mixer: bool = True,
-          key_mask: np.ndarray | None = None) -> Tensor:
+def adapt(adapter: Adapter, instances, key_mask: np.ndarray | None = None) -> Tensor:
     """Transform a bag's instance matrix, preserving its shape.
 
     ``key_mask`` hides the marked rows from cross-instance attention
@@ -50,7 +47,7 @@ def adapt(adapter: Adapter, instances, use_mixer: bool = True,
         raise ValueError(f"expected a non-empty (n, dim) matrix, got shape {x.shape}")
     if x.shape[1] != adapter.dim:
         raise ValueError(f"feature width {x.shape[1]} does not match adapter width {adapter.dim}")
-    return adapter(x, use_mixer=use_mixer, key_mask=key_mask)
+    return adapter(x, key_mask=key_mask)
 
 
 def adapt_with_class_token(adapter: Adapter, sparse_instances, class_embedding) -> Tensor:

@@ -18,28 +18,29 @@ stop-gradients by construction.
 
 from __future__ import annotations
 
-import contextlib
+import contextvars
 from typing import Iterable, Sequence
 
 import numpy as np
 
-_GRAD_ENABLED = True
+# Number of open ``no_grad`` contexts.  A context variable keeps it per
+# thread (and per asyncio task), and counting rather than saving and
+# restoring a flag makes exits in any order end with recording back on.
+_NO_GRAD_DEPTH = contextvars.ContextVar("moediff_no_grad_depth", default=0)
 
 
-@contextlib.contextmanager
-def no_grad():
+class no_grad:
     """Disable graph recording inside the context (evaluation mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
+
+    def __enter__(self):
+        _NO_GRAD_DEPTH.set(_NO_GRAD_DEPTH.get() + 1)
+
+    def __exit__(self, *exc):
+        _NO_GRAD_DEPTH.set(_NO_GRAD_DEPTH.get() - 1)
 
 
 def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _NO_GRAD_DEPTH.get() == 0
 
 
 class Tensor:
@@ -175,15 +176,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
-def _needs_graph(*tensors: Tensor) -> bool:
-    if not _GRAD_ENABLED:
-        return False
-    for t in tensors:
-        if t.requires_grad or t._parents:
-            return True
-    return False
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce gradient g back to the given (possibly broadcast) shape."""
     if g.shape == shape:
@@ -198,7 +190,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _make(data, parents, backward) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
+    if not _NO_GRAD_DEPTH.get() and any(p.requires_grad or p._parents for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
 
@@ -255,27 +247,10 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
     out = np.log(a.data)
     return _make(out, (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g: (g * 0.5 / out,))
-
-
-def square(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(a.data * a.data, (a,), lambda g: (2.0 * g * a.data,))
 
 
 def tanh(a) -> Tensor:

@@ -1,23 +1,22 @@
 """Control aggregators: mean pooling, max pooling, gated attention pooling.
 
 Each baseline reduces a bag to a single vector, classifies it with a
-linear softmax head, and trains end to end with Adam on cross-entropy.
+linear softmax head, and trains end to end with Adam on cross-entropy,
+through the same training loop as the two stages (``training._fit``).
 They exist as reference points for the synthetic benchmark, not as tuned
 competitors.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, clip_grad_norm, collect_params, zero_grads
+from .autodiff import Tensor, collect_params
 from .core import Bag, ConfigError, derive_seed, one_hot
 from .moe import cross_entropy
 from .nn import DEFAULT_DTYPE, Linear
-from .training import Adam, cosine_lr
+from .training import Adam, _fit
 
 
 class PoolingClassifier:
@@ -71,37 +70,15 @@ class AttentionPoolingClassifier:
 
 def train_baseline(model, bags: list[Bag], epochs: int = 100, lr0: float = 1e-2,
                    seed: int = 0, batch_size: int = 8, grad_clip: float = 5.0) -> list[dict]:
-    """Cross-entropy training loop shared by all baselines."""
-    params = [p for _, p in collect_params(model)]
-    optimizer = Adam(params, lr=lr0)
-    shuffle_rng = np.random.default_rng(derive_seed(seed, 0xBA5E))
-    log = []
-    for epoch in range(epochs):
-        optimizer.lr = cosine_lr(epoch, epochs, lr0)
-        order = shuffle_rng.permutation(len(bags))
-        epoch_loss = 0.0
-        pending = 0
-        zero_grads(params)
-        for j, i in enumerate(order):
-            bag = bags[i]
-            loss = cross_entropy(one_hot(bag.label, model.num_classes),
-                                 model.probabilities(bag))
-            value = loss.item()
-            if not math.isfinite(value):
-                raise RuntimeError(f"baseline diverged at epoch {epoch}")
-            epoch_loss += value
-            loss.backward()
-            pending += 1
-            if pending == batch_size or j == len(order) - 1:
-                for p in params:
-                    if p.grad is not None:
-                        p.grad = p.grad / pending
-                clip_grad_norm(params, grad_clip)
-                optimizer.step()
-                zero_grads(params)
-                pending = 0
-        log.append({"epoch": epoch, "loss": epoch_loss / len(bags)})
-    return log
+    """Cross-entropy training shared by all baselines; returns the per-epoch log."""
+    optimizer = Adam([p for _, p in collect_params(model)], lr=lr0)
+
+    def bag_loss(index: int) -> Tensor:
+        bag = bags[index]
+        return cross_entropy(one_hot(bag.label, model.num_classes), model.probabilities(bag))
+
+    return list(_fit("baseline", optimizer, bag_loss, len(bags), epochs, lr0, batch_size,
+                     grad_clip, np.random.default_rng(derive_seed(seed, 0xBA5E))))
 
 
 def baseline_accuracy(model, bags: list[Bag]) -> float:

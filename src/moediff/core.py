@@ -50,15 +50,17 @@ class Bag:
     bag_id: str
 
     def __post_init__(self):
-        inst = np.asarray(self.instances)
+        # A read-only copy: the bag cannot change, and the caller's array
+        # stays writable.
+        inst = np.array(self.instances)
         if inst.ndim != 2 or inst.shape[0] < 1:
             raise ValidationError(f"bag {self.bag_id!r}: instances must be a non-empty 2-D matrix")
         if not np.isfinite(inst).all():
             raise ValidationError(f"bag {self.bag_id!r}: non-finite instance values")
         if self.label < 0:
             raise DomainError(f"bag {self.bag_id!r}: negative label {self.label}")
+        inst.setflags(write=False)
         object.__setattr__(self, "instances", inst)
-        self.instances.setflags(write=False)
 
     @property
     def size(self) -> int:

@@ -225,18 +225,12 @@ class Denoiser:
         self.mlp_out = Linear(hidden, num_classes, rng, zero=True, dtype=dtype)
 
 
-def fuse_condition(insights, denoiser: Denoiser) -> Tensor:
-    """Confidence-weighted sum of expert latents, then the encoder.
+def condition_input(insights, dtype=DEFAULT_DTYPE) -> np.ndarray:
+    """The confidence-weighted sum of expert latents (the encoder's input).
 
     Empty experts carry zero latent and zero confidence, so they simply do
     not contribute.
     """
-    weighted = condition_input(insights, dtype=denoiser.dtype)
-    return encode_condition(denoiser, Tensor(weighted))
-
-
-def condition_input(insights, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """The raw confidence-weighted latent sum (before the encoder)."""
     total = None
     for ins in insights:
         term = ins.confidence * np.asarray(ins.latent, dtype=np.float64)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .core import Bag, derive_seed
 from .diffusion import Denoiser, NoiseSchedule, sample
@@ -49,7 +47,3 @@ def evaluate(moe_model: MoEAggregator, denoiser: Denoiser, sched: NoiseSchedule,
                               n_samples=n_samples, stride=stride, seed=seed,
                               alpha=alpha, use_prior=use_prior)
     return full_report(records, num_classes=moe_model.num_classes), records
-
-
-def diffusion_accuracy(records: list[PredictionRecord]) -> float:
-    return float(np.mean([r.accurate for r in records]))

@@ -10,6 +10,9 @@ Bag file layout (little-endian):
     payload n*dim    float32, row-major
     crc32   u32      CRC-32 of the payload bytes
 
+A bag file is exactly 18 + 4*n*dim bytes long; a shorter or longer file
+is rejected.
+
 Checkpoint layout (little-endian):
 
     magic        4 bytes  b"MEXC"
@@ -24,6 +27,13 @@ parameter catalog (name, shape, byte offset), plus a free-form "extra"
 object with whatever the caller needs to rebuild the model.  Because the
 JSON is canonical and parameters are stored sorted by name, loading and
 re-saving a checkpoint is byte-identical.
+
+Run configurations are JSON objects merged over a defaults table built
+from the library dataclasses (``TrainConfig``, ``SynthSpec``).  Each
+override must have its default's type (an int is accepted for a float).
+One default differs from the library: the run seed is 1, while
+``TrainConfig`` and ``SynthSpec`` default to seed 0.  The ``MEXD_SEED``
+environment variable overrides the seed.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import logging
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +69,10 @@ class BadMagicError(ValidationError):
 
 class TruncatedFileError(ValidationError):
     """The file ends before its declared payload does."""
+
+
+class TrailingBytesError(ValidationError):
+    """The file continues past its declared end."""
 
 
 class CrcMismatchError(ValidationError):
@@ -88,14 +102,17 @@ def read_bag(path, label: int = 0, bag_id: str | None = None) -> Bag:
     if version != FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported bag format version {version}")
     body_len = 4 * n * dim
-    if len(raw) < 14 + body_len + 4:
-        raise TruncatedFileError(f"{path}: expected {14 + body_len + 4} bytes, found {len(raw)}")
-    payload = raw[14:14 + body_len]
-    (crc,) = struct.unpack("<I", raw[14 + body_len:18 + body_len])
+    if len(raw) < 18 + body_len:
+        raise TruncatedFileError(f"{path}: expected {18 + body_len} bytes, found {len(raw)}")
+    if len(raw) > 18 + body_len:
+        raise TrailingBytesError(f"{path}: expected {18 + body_len} bytes, found {len(raw)}")
+    payload = memoryview(raw)[14:14 + body_len]
+    (crc,) = struct.unpack("<I", raw[14 + body_len:])
     if zlib.crc32(payload) != crc:
         raise CrcMismatchError(f"{path}: payload checksum mismatch")
+    # Bag() copies the read-only view, so the payload is copied once.
     instances = np.frombuffer(payload, dtype="<f4").reshape(n, dim)
-    return Bag(instances=instances.copy(), label=label,
+    return Bag(instances=instances, label=label,
                bag_id=bag_id if bag_id is not None else Path(path).stem)
 
 
@@ -239,32 +256,22 @@ def export_params(model) -> dict[str, np.ndarray]:
 
 
 _DEFAULT_CONFIG = {
+    **asdict(TrainConfig()),
     "seed": 1,
-    "synth": {
-        "num_classes": 3,
-        "embedding_dim": 64,
-        "instances_min": 12,
-        "instances_max": 24,
-        "positive_fraction": 0.1,
-        "cluster_separation": 8.0,
-        "noise_std": 1.0,
-        "rotate": True,
-    },
+    "synth": {k: v for k, v in asdict(SynthSpec()).items() if k != "seed"},
     "data": {"train_bags_per_class": 100, "test_bags_per_class": 34},
-    "ratios": {"alpha0": 0.25, "alpha1": 0.5},
-    "model": {"heads": 4, "ff_multiple": 2, "denoiser_hidden": 128, "time_embed_dim": 64},
-    "stage1": {"epochs": 100, "optimizer": "radam", "lr0": 2e-4, "weight_decay": 1e-5},
-    "stage2": {"epochs": 200, "optimizer": "adam", "lr0": 1e-3, "weight_decay": 0.0},
-    "batch_size": 1,
-    "grad_clip": 5.0,
-    "eval_every": 10,
-    "key_dropout": 0.25,
-    "router_supervision": 1.0,
-    "routing_noise": 1.0,
-    "diffusion": {"timesteps": 200, "beta_min": 1e-4, "stride": 1, "n_samples": 100,
-                  "use_prior": True},
     "uncertainty": {"alpha": 0.05},
 }
+
+
+def _type_matches(value, default) -> bool:
+    """Whether an override has its default's type; an int may stand for a
+    float, and bool never stands for a number."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 def _merge_checked(defaults: dict, overrides: dict, path: str = "") -> dict:
@@ -277,8 +284,9 @@ def _merge_checked(defaults: dict, overrides: dict, path: str = "") -> dict:
                     raise ConfigError(f"config key {path}{key} must be a section")
                 merged[key] = _merge_checked(default, value, f"{path}{key}.")
             else:
-                if isinstance(default, bool) != isinstance(value, bool):
-                    raise ConfigError(f"config key {path}{key}: expected {type(default).__name__}")
+                if not _type_matches(value, default):
+                    raise ConfigError(f"config key {path}{key}: expected {type(default).__name__}, "
+                                      f"got {type(value).__name__}")
                 merged[key] = value
         else:
             merged[key] = dict(default) if isinstance(default, dict) else default

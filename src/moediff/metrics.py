@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri, stdtr
 
 from .core import DomainError, ValidationError
 
@@ -97,7 +97,7 @@ def ttest_certainty(samples: np.ndarray, alpha: float = 0.05) -> tuple[bool, flo
         certain = abs(mean) > DEGENERATE_MEAN
         return certain, 0.0 if certain else 1.0
     t_stat = mean / np.sqrt(var / n)
-    p_value = 2.0 * float(stats.t.sf(abs(t_stat), df=n - 1))
+    p_value = 2.0 * float(stdtr(n - 1, -abs(t_stat)))  # two-sided Student-t tail
     return p_value < alpha, p_value
 
 
@@ -210,7 +210,7 @@ def qq_table(samples: np.ndarray) -> np.ndarray | None:
     if sd * sd < DEGENERATE_VAR:
         return None
     standardized = np.sort((d - d.mean()) / sd)
-    theoretical = stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    theoretical = ndtri((np.arange(1, n + 1) - 0.5) / n)  # standard normal quantiles
     return np.column_stack([theoretical, standardized])
 
 

@@ -152,9 +152,19 @@ def accept_side(expert_index: int) -> int:
     return 0 if expert_index == 0 else 1
 
 
-def router_probs(router: Linear, adapted: Tensor) -> Tensor:
-    """Two-way routing probabilities for every instance row."""
-    return ad.softmax(router(adapted), axis=-1)
+def router_probs(router: Linear, adapted: Tensor,
+                 routing_noise: tuple[np.random.Generator, float] | None = None) -> Tensor:
+    """Two-way routing probabilities for every instance row.
+
+    ``routing_noise`` is an (rng, std) pair adding Gaussian noise to the
+    router logits (see ``aggregate_detailed``).
+    """
+    logits = router(adapted)
+    if routing_noise is not None:
+        rng, std = routing_noise
+        noise = std * rng.standard_normal(logits.shape)
+        logits = logits + Tensor(noise.astype(router.bias.dtype))
+    return ad.softmax(logits, axis=-1)
 
 
 def select_routed(probs: np.ndarray, expert_index: int) -> np.ndarray:
@@ -232,6 +242,28 @@ def prior_predict(adapter_prior: Adapter, prior_head: Linear, sparse_rows, class
     return ad.softmax(token.reshape(1, -1) @ prior_head.weight + prior_head.bias, axis=-1)[0]
 
 
+def _route_bag(model: MoEAggregator, bag: Bag, ratios: SamplingRatios,
+               key_mask: np.ndarray | None = None,
+               routing_noise: tuple[np.random.Generator, float] | None = None,
+               ) -> tuple[Tensor, list[tuple[Tensor, np.ndarray, np.ndarray]]]:
+    """Adapt a bag's instances and route them through every expert.
+
+    Returns the adapted rows and, per expert, its routing probability
+    tensor, the indices routed into its subset, and the indices that
+    survive the top-k filter.
+    """
+    x = Tensor(np.ascontiguousarray(bag.instances, dtype=model.dtype))
+    adapted = adapt(model.adapter_in, x, key_mask=key_mask)
+    routes = []
+    for r, router in enumerate(model.routers):
+        probs_t = router_probs(router, adapted, routing_noise)
+        probs = probs_t.numpy()
+        routed = select_routed(probs, r)
+        kept = routed[topk_filter(probs[routed, accept_side(r)], ratios.for_expert(r))]
+        routes.append((probs_t, routed, kept))
+    return adapted, routes
+
+
 def aggregate_detailed(model: MoEAggregator, bag: Bag, ratios: SamplingRatios,
                        key_mask: np.ndarray | None = None,
                        routing_noise: tuple[np.random.Generator, float] | None = None,
@@ -246,28 +278,12 @@ def aggregate_detailed(model: MoEAggregator, bag: Bag, ratios: SamplingRatios,
     selections instead of only the razor-sharp ones.  Evaluation never
     passes it.
     """
-    x = Tensor(np.ascontiguousarray(bag.instances, dtype=model.dtype))
-    adapted = adapt(model.adapter_in, x, key_mask=key_mask)
-
+    adapted, routes = _route_bag(model, bag, ratios, key_mask, routing_noise)
     insights: list[ExpertInsight] = []
     predictions_t: list[Tensor] = []
-    probs_list: list[Tensor] = []
-    kept_chunks: list[np.ndarray] = []
     sources: list[SourceIndex] = []
-
-    for r in range(model.num_classes):
+    for r, (probs_t, _, kept) in enumerate(routes):
         side = accept_side(r)
-        logits_t = model.routers[r](adapted)
-        if routing_noise is not None:
-            rng, std = routing_noise
-            logits_t = logits_t + Tensor(
-                (std * rng.standard_normal(logits_t.shape)).astype(model.dtype))
-        probs_t = ad.softmax(logits_t, axis=-1)
-        probs = probs_t.numpy()
-        routed = select_routed(probs, r)
-        keep_local = topk_filter(probs[routed, side], ratios.for_expert(r))
-        kept = routed[keep_local]
-
         if kept.size:
             retained_t = ad.take_rows(adapted, kept)
             scores_t = probs_t[(kept, np.full(kept.size, side, dtype=np.intp))]
@@ -283,11 +299,10 @@ def aggregate_detailed(model: MoEAggregator, bag: Bag, ratios: SamplingRatios,
             prediction=pred_t.numpy(),
         ))
         predictions_t.append(pred_t)
-        probs_list.append(probs_t)
-        kept_chunks.append(kept)
+        probs = probs_t.numpy()
         sources.extend(SourceIndex(r, int(i), float(probs[i, side])) for i in kept)
 
-    union = np.concatenate(kept_chunks) if kept_chunks else np.empty(0, dtype=np.intp)
+    union = np.concatenate([kept for _, _, kept in routes])
     sparse_rows_t = ad.take_rows(adapted, union) if union.size else Tensor(
         np.zeros((0, model.dim), dtype=model.dtype))
     prior_t = prior_predict(model.adapter_prior, model.prior_head, sparse_rows_t,
@@ -295,7 +310,7 @@ def aggregate_detailed(model: MoEAggregator, bag: Bag, ratios: SamplingRatios,
     sparse_bag = SparseBag(instances=sparse_rows_t.numpy(), source_indices=sources)
     output = MoEOutput(insights=insights, sparse_bag=sparse_bag, prior_t=prior_t,
                        expert_predictions_t=predictions_t)
-    return output, probs_list
+    return output, [probs_t for probs_t, _, _ in routes]
 
 
 def aggregate(model: MoEAggregator, bag: Bag, ratios: SamplingRatios,
@@ -383,24 +398,18 @@ def score_table(model: MoEAggregator, bag: Bag, ratios: SamplingRatios) -> list[
     the instance was routed into the subset, and whether it survived the
     top-k filter.  This is the exportable data behind score-overlay plots.
     """
-    rows: list[dict] = []
     with ad.no_grad():
-        x = Tensor(np.ascontiguousarray(bag.instances, dtype=model.dtype))
-        adapted = adapt(model.adapter_in, x)
-        for r in range(model.num_classes):
-            side = accept_side(r)
-            probs = router_probs(model.routers[r], adapted).numpy()
-            routed = select_routed(probs, r)
-            keep_local = topk_filter(probs[routed, side], ratios.for_expert(r))
-            kept = set(routed[keep_local].tolist())
-            routed_set = set(routed.tolist())
-            for i in range(bag.size):
-                rows.append({
-                    "bag_id": bag.bag_id,
-                    "instance_index": i,
-                    "expert_index": r,
-                    "score": float(probs[i, side]),
-                    "routed": i in routed_set,
-                    "retained": i in kept,
-                })
+        _, routes = _route_bag(model, bag, ratios)
+    rows: list[dict] = []
+    for r, (probs_t, routed, kept) in enumerate(routes):
+        scores = probs_t.numpy()[:, accept_side(r)]
+        routed_set, kept_set = set(routed.tolist()), set(kept.tolist())
+        rows.extend({
+            "bag_id": bag.bag_id,
+            "instance_index": i,
+            "expert_index": r,
+            "score": float(scores[i]),
+            "routed": i in routed_set,
+            "retained": i in kept_set,
+        } for i in range(bag.size))
     return rows

@@ -4,9 +4,13 @@ Stage 1 trains the aggregator (adapters, routers, expert heads, prior
 head, class token) with the joint expert/prior loss under RAdam.  Stage 2
 freezes all of that, caches each bag's expert condition and prior, and
 trains only the denoiser (condition encoder + noise MLP) on the
-noise-estimation loss under Adam.  Both stages decay the learning rate
-with a cosine over epochs and clip gradients at a configurable global
-norm.
+noise-estimation loss under Adam.
+
+Both stages, and the pooling baselines, run the one loop in ``_fit``:
+each supplies only its per-item loss.  The loop decays the learning rate
+with a cosine over epochs, averages gradients over each batch, clips them
+at a global norm, steps the optimizer, and stops with ``TrainingDiverged``
+on a non-finite loss or gradient norm.
 
 Determinism: all randomness (shuffling, timestep draws, noise draws)
 comes from generators derived from the config seed, so identical configs
@@ -17,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, clip_grad_norm, collect_params, zero_grads
+from .autodiff import Tensor, clip_grad_norm, collect_params, global_grad_norm, zero_grads
 from .core import Bag, ConfigError, derive_seed, one_hot
 from .diffusion import (Denoiser, default_schedule, encode_condition, forward_sample,
                         condition_input, noise_loss, predict_noise)
@@ -147,7 +152,12 @@ class Adam:
     def step(self) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        self._update(self.lr / c1, 1.0 - self.beta2 ** self.t)
+
+    def _update(self, step_size: float, c2: float | None) -> None:
+        """Update the moments of every parameter that has a gradient, then
+        move it by ``step_size * m / (sqrt(v / c2) + eps)``, or by
+        ``step_size * m`` when ``c2`` is None."""
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
@@ -159,7 +169,10 @@ class Adam:
             m += (1 - self.beta1) * g
             v *= self.beta2
             v += (1 - self.beta2) * (g * g)
-            p.data -= (self.lr / c1) * m / (np.sqrt(v / c2) + self.eps)
+            if c2 is None:
+                p.data -= step_size * m
+            else:
+                p.data -= step_size * m / (np.sqrt(v / c2) + self.eps)
 
 
 class RAdam(Adam):
@@ -178,23 +191,9 @@ class RAdam(Adam):
         if rho_t > 4.0:
             rect = math.sqrt(((rho_t - 4) * (rho_t - 2) * rho_inf)
                              / ((rho_inf - 4) * (rho_inf - 2) * rho_t))
+            self._update(self.lr * rect / c1, 1.0 - beta2_t)
         else:
-            rect = None
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m, v = self._m[i], self._v[i]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            if rect is None:
-                p.data -= (self.lr / c1) * m
-            else:
-                p.data -= (self.lr * rect / c1) * m / (np.sqrt(v / (1.0 - beta2_t)) + self.eps)
+            self._update(self.lr / c1, None)
 
 
 def make_optimizer(stage: StageConfig, params) -> Adam:
@@ -217,6 +216,53 @@ def draw_timestep(rng: np.random.Generator, timesteps: int) -> int:
     return int(rng.integers(1, timesteps + 1))
 
 
+def _fit(stage: str, optimizer: Adam, item_loss: Callable[[int], Tensor], n_items: int,
+         epochs: int, lr0: float, batch_size: int, grad_clip: float,
+         shuffle_rng: np.random.Generator) -> Iterator[dict]:
+    """The training loop shared by both stages and the baselines.
+
+    Each epoch visits the items ``0..n_items-1`` in a fresh shuffled
+    order, backpropagates ``item_loss(index)`` for each, and steps the
+    optimizer on the gradients averaged over every ``batch_size`` items
+    (the last batch of an epoch may be shorter), clipped to a global norm
+    of ``grad_clip``.  The learning rate follows ``cosine_lr`` over
+    epochs.  Yields one log row per epoch, which the caller may extend
+    before the next epoch starts.
+    """
+    params = optimizer.params
+    for epoch in range(epochs):
+        lr = cosine_lr(epoch, epochs, lr0)
+        optimizer.lr = lr
+        order = shuffle_rng.permutation(n_items)
+        epoch_loss = 0.0
+        pending = 0
+        zero_grads(params)
+        for j, index in enumerate(order):
+            loss = item_loss(index)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise TrainingDiverged(stage, epoch, lr, global_grad_norm(params))
+            epoch_loss += value
+            loss.backward()
+            pending += 1
+            if pending == batch_size or j == n_items - 1:
+                if not any(p.grad is not None for p in params):
+                    raise RuntimeError(
+                        f"{stage}: backward() gave no parameter a gradient; graph recording "
+                        f"is off (is training running inside autodiff.no_grad()?)")
+                if pending > 1:
+                    for p in params:
+                        if p.grad is not None:
+                            p.grad = p.grad / pending
+                grad_norm = clip_grad_norm(params, grad_clip)
+                if not math.isfinite(grad_norm):
+                    raise TrainingDiverged(stage, epoch, lr, grad_norm)
+                optimizer.step()
+                zero_grads(params)
+                pending = 0
+        yield {"stage": stage, "epoch": epoch, "loss": epoch_loss / n_items, "lr": lr}
+
+
 def train_stage1(bags: list[Bag], config: TrainConfig, eval_bags: list[Bag] | None = None,
                  model: MoEAggregator | None = None, dtype=DEFAULT_DTYPE,
                  num_classes: int | None = None) -> tuple[MoEAggregator, list[dict]]:
@@ -237,56 +283,34 @@ def train_stage1(bags: list[Bag], config: TrainConfig, eval_bags: list[Bag] | No
         rng = np.random.default_rng(derive_seed(config.seed, 0x57A6E1))
         model = MoEAggregator(num_classes, dim, rng, heads=config.model.heads,
                               ff_multiple=config.model.ff_multiple, dtype=dtype)
-    params = [p for _, p in collect_params(model)]
-    optimizer = make_optimizer(config.stage1, params)
+    optimizer = make_optimizer(config.stage1, [p for _, p in collect_params(model)])
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, 0x5F1))
     dropout_rng = np.random.default_rng(derive_seed(config.seed, 0xD0))
     noise_rng = np.random.default_rng(derive_seed(config.seed, 0xA01))
+    routing_noise = (noise_rng, config.routing_noise) if config.routing_noise > 0.0 else None
+
+    def bag_loss(index: int) -> Tensor:
+        bag = bags[index]
+        key_mask = None
+        if config.key_dropout > 0.0:
+            key_mask = dropout_rng.random(bag.size) < config.key_dropout
+        out, probs_list = aggregate_detailed(model, bag, config.ratios, key_mask=key_mask,
+                                             routing_noise=routing_noise)
+        if not np.isfinite(out.prior).all():
+            return Tensor(np.array(np.nan))  # moe_loss rejects it; _fit raises TrainingDiverged
+        loss = moe_loss(one_hot(bag.label, num_classes), out)
+        if config.router_supervision > 0.0:
+            extra = router_supervision_loss(bag.label, probs_list)
+            if extra is not None:
+                loss = loss + config.router_supervision * extra
+        return loss
+
+    s1 = config.stage1
     log: list[dict] = []
-    for epoch in range(config.stage1.epochs):
-        lr = cosine_lr(epoch, config.stage1.epochs, config.stage1.lr0)
-        optimizer.lr = lr
-        order = shuffle_rng.permutation(len(bags))
-        epoch_loss = 0.0
-        pending = 0
-        zero_grads(params)
-        for j, bag_index in enumerate(order):
-            bag = bags[bag_index]
-            key_mask = None
-            if config.key_dropout > 0.0:
-                key_mask = dropout_rng.random(bag.size) < config.key_dropout
-            routing_noise = None
-            if config.routing_noise > 0.0:
-                routing_noise = (noise_rng, config.routing_noise)
-            out, probs_list = aggregate_detailed(model, bag, config.ratios,
-                                                 key_mask=key_mask,
-                                                 routing_noise=routing_noise)
-            if not np.isfinite(out.prior).all():
-                raise TrainingDiverged("stage1", epoch, lr, ad.global_grad_norm(params))
-            loss = moe_loss(one_hot(bag.label, num_classes), out)
-            if config.router_supervision > 0.0:
-                extra = router_supervision_loss(bag.label, probs_list)
-                if extra is not None:
-                    loss = loss + config.router_supervision * extra
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingDiverged("stage1", epoch, lr, ad.global_grad_norm(params))
-            epoch_loss += value
-            loss.backward()
-            pending += 1
-            if pending == config.batch_size or j == len(order) - 1:
-                for p in params:
-                    if p.grad is not None:
-                        p.grad = p.grad / pending
-                grad_norm = clip_grad_norm(params, config.grad_clip)
-                if not math.isfinite(grad_norm):
-                    raise TrainingDiverged("stage1", epoch, lr, grad_norm)
-                optimizer.step()
-                zero_grads(params)
-                pending = 0
-        row = {"stage": "stage1", "epoch": epoch, "loss": epoch_loss / len(bags), "lr": lr}
-        if eval_bags and (epoch % config.eval_every == config.eval_every - 1
-                          or epoch == config.stage1.epochs - 1):
+    for row in _fit("stage1", optimizer, bag_loss, len(bags), s1.epochs, s1.lr0,
+                    config.batch_size, config.grad_clip, shuffle_rng):
+        if eval_bags and (row["epoch"] % config.eval_every == config.eval_every - 1
+                          or row["epoch"] == s1.epochs - 1):
             row["acc"] = prior_accuracy(model, eval_bags, config.ratios)
         log.append(row)
     return model, log
@@ -324,40 +348,19 @@ def train_stage2(bags: list[Bag], moe_model: MoEAggregator, config: TrainConfig,
                         np.random.default_rng(derive_seed(config.seed, 0xDE401)),
                         hidden=config.model.denoiser_hidden,
                         time_dim=config.model.time_embed_dim, dtype=dtype)
-    params = [p for _, p in collect_params(denoiser)]
-    optimizer = make_optimizer(config.stage2, params)
-    log: list[dict] = []
-    for epoch in range(config.stage2.epochs):
-        lr = cosine_lr(epoch, config.stage2.epochs, config.stage2.lr0)
-        optimizer.lr = lr
-        order = shuffle_rng.permutation(len(cached))
-        epoch_loss = 0.0
-        pending = 0
-        zero_grads(params)
-        for j, bag_index in enumerate(order):
-            entry = cached[bag_index]
-            t = draw_timestep(rng, sched.timesteps)
-            eps = rng.standard_normal(num_classes)
-            state_t = forward_sample(sched, entry["label_vec"], entry["prior"], t, eps)
-            cond = encode_condition(denoiser, Tensor(entry["condition_input"]))
-            eps_hat = predict_noise(denoiser, cond, state_t.astype(dtype),
-                                    entry["prior"].astype(dtype), t)
-            loss = noise_loss(eps, eps_hat)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingDiverged("stage2", epoch, lr, ad.global_grad_norm(params))
-            epoch_loss += value
-            loss.backward()
-            pending += 1
-            if pending == config.batch_size or j == len(order) - 1:
-                for p in params:
-                    if p.grad is not None:
-                        p.grad = p.grad / pending
-                grad_norm = clip_grad_norm(params, config.grad_clip)
-                if not math.isfinite(grad_norm):
-                    raise TrainingDiverged("stage2", epoch, lr, grad_norm)
-                optimizer.step()
-                zero_grads(params)
-                pending = 0
-        log.append({"stage": "stage2", "epoch": epoch, "loss": epoch_loss / len(bags), "lr": lr})
+    optimizer = make_optimizer(config.stage2, [p for _, p in collect_params(denoiser)])
+
+    def step_loss(index: int) -> Tensor:
+        entry = cached[index]
+        t = draw_timestep(rng, sched.timesteps)
+        eps = rng.standard_normal(num_classes)
+        state_t = forward_sample(sched, entry["label_vec"], entry["prior"], t, eps)
+        cond = encode_condition(denoiser, Tensor(entry["condition_input"]))
+        eps_hat = predict_noise(denoiser, cond, state_t.astype(dtype),
+                                entry["prior"].astype(dtype), t)
+        return noise_loss(eps, eps_hat)
+
+    s2 = config.stage2
+    log = list(_fit("stage2", optimizer, step_loss, len(cached), s2.epochs, s2.lr0,
+                    config.batch_size, config.grad_clip, shuffle_rng))
     return denoiser, log

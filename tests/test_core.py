@@ -57,6 +57,14 @@ def test_bag_invariants():
         bag.instances[0, 0] = 5.0  # immutable after construction
 
 
+def test_bag_copies_and_leaves_caller_array_writable():
+    x = np.zeros((2, 2), np.float32)
+    bag = Bag(x, 0, "u")
+    x[0, 0] = 2
+    assert bag.instances[0, 0] == 0
+    assert not bag.instances.flags.writeable
+
+
 def test_manifest_rejects_duplicates_and_bad_labels():
     entries = [ManifestEntry("a", "a.mexb", 0), ManifestEntry("a", "b.mexb", 1)]
     with pytest.raises(ValidationError):

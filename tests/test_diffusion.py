@@ -9,7 +9,7 @@ from moediff import autodiff as ad
 from moediff.autodiff import Tensor, collect_params
 from moediff.core import ConfigError, DomainError
 from moediff.diffusion import (Denoiser, NoiseSchedule, condition_input, default_schedule,
-                               encode_condition, forward_sample, fuse_condition,
+                               encode_condition, forward_sample,
                                make_schedule, noise_loss, posterior_coefficients,
                                posterior_coefficients_between, predict_noise,
                                predict_noise_batch, reconstruct_f0, reverse_step, sample,
@@ -325,20 +325,24 @@ def make_denoiser(num_classes=3, dim=8, seed=0, dtype=np.float64, hidden=16, tim
                     time_dim=time_dim, dtype=dtype)
 
 
-def test_fuse_condition_selects_single_expert():
+def fused_condition(insights, den):
+    return encode_condition(den, Tensor(condition_input(insights, dtype=den.dtype)))
+
+
+def test_encoded_condition_selects_single_expert():
     den = make_denoiser()
     rng = np.random.default_rng(8)
     e0, e1 = rng.standard_normal(8), rng.standard_normal(8)
-    fused = fuse_condition(insights_from([e0, e1], [1.0, 0.0]), den)
+    fused = fused_condition(insights_from([e0, e1], [1.0, 0.0]), den)
     direct = encode_condition(den, Tensor(e0))
     assert np.allclose(fused.numpy(), direct.numpy(), atol=1e-12)
 
 
-def test_fuse_condition_all_zero_confidence():
+def test_encoded_condition_all_zero_confidence():
     den = make_denoiser()
     rng = np.random.default_rng(9)
     latents = [rng.standard_normal(8) for _ in range(3)]
-    fused = fuse_condition(insights_from(latents, [0.0, 0.0, 0.0]), den)
+    fused = fused_condition(insights_from(latents, [0.0, 0.0, 0.0]), den)
     direct = encode_condition(den, Tensor(np.zeros(8)))
     assert np.allclose(fused.numpy(), direct.numpy(), atol=1e-12)
 

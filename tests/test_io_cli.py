@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ import pytest
 from moediff.cli import cli
 from moediff.core import Bag, ConfigError, ValidationError
 from moediff.io_formats import (BadMagicError, CrcMismatchError, RunConfig,
-                                TruncatedFileError, apply_params, export_params,
+                                TrailingBytesError, TruncatedFileError, apply_params, export_params,
                                 load_bags, load_checkpoint, load_manifest, read_bag,
                                 save_checkpoint, save_manifest, write_bag,
                                 write_dataset)
 from moediff.synthetic import SynthSpec, generate_dataset
+from moediff.training import TrainConfig
 
 
 def make_bag(n=5, dim=7, seed=0, label=2) -> Bag:
@@ -57,6 +59,15 @@ def test_bag_truncation(tmp_path):
     path.write_bytes(raw[:-6])
     with pytest.raises(TruncatedFileError):
         read_bag(path)
+
+
+def test_bag_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "bag.mexb"
+    write_bag(path, make_bag(n=3, dim=4))
+    path.write_bytes(path.read_bytes() + b"\x00" * 7)
+    with pytest.raises(TrailingBytesError):
+        read_bag(path)
+    assert issubclass(TrailingBytesError, ValidationError)
 
 
 def test_zero_instance_file_fails_bag_validation(tmp_path):
@@ -182,6 +193,27 @@ def test_config_range_checks():
         RunConfig.from_dict({"ratios": {"alpha0": 1.5}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"uncertainty": {"alpha": 2.0}})
+
+
+@pytest.mark.parametrize("bad", ["100", 2.5, True])
+def test_config_rejects_override_of_wrong_type(bad):
+    with pytest.raises(ConfigError, match=r"stage1\.epochs"):
+        RunConfig.from_dict({"stage1": {"epochs": bad}})
+
+
+def test_config_accepts_int_for_float():
+    config = RunConfig.from_dict({"grad_clip": 3, "stage1": {"lr0": 1}})
+    assert config.train_config().grad_clip == 3
+    with pytest.raises(ConfigError, match="stage1.optimizer"):
+        RunConfig.from_dict({"stage1": {"optimizer": 1}})
+
+
+def test_config_defaults_follow_the_dataclasses():
+    raw = RunConfig.from_dict({}).raw
+    assert raw["seed"] == 1  # the CLI default; the library default is 0
+    tc = TrainConfig()
+    assert raw["stage1"] == asdict(tc.stage1) and raw["model"] == asdict(tc.model)
+    assert raw["synth"]["embedding_dim"] == SynthSpec().embedding_dim
 
 
 def test_config_seed_env_override(monkeypatch):

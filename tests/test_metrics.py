@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import moediff
 from moediff.core import DomainError, ValidationError
 from moediff.metrics import (MetricReport, PredictionRecord, accuracy, aggregate_samples,
                              auc_binary, classification_metrics, full_report, midrank,
@@ -285,3 +291,9 @@ def test_full_report_ranges():
     for value in (report.f1_macro, report.accuracy, report.auc_macro, report.pavpu):
         assert 0.0 <= value <= 1.0
     assert isinstance(report.to_dict()["per_class"], list)
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, moediff; assert 'scipy.stats' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(Path(moediff.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -102,6 +102,37 @@ def test_radam_early_steps_are_unrectified():
     assert x.data[0] == pytest.approx(1.0 - 0.01 * 2.0)
 
 
+@pytest.mark.parametrize("cls", [Adam, RAdam])
+def test_optimizer_step_matches_closed_form(cls):
+    # eight steps cover RAdam's unrectified (t <= 4) and rectified updates
+    rng = np.random.default_rng(4)
+    x = ad.parameter(rng.standard_normal(5), dtype=np.float32)
+    opt = cls([x], lr=0.01, weight_decay=0.1)
+    ref = x.data.copy()
+    m = np.zeros_like(ref)
+    v = np.zeros_like(ref)
+    b1, b2 = 0.9, 0.999
+    rho_inf = 2.0 / (1.0 - b2) - 1.0
+    for t in range(1, 9):
+        g = rng.standard_normal(5).astype(np.float32)
+        x.grad = g
+        opt.step()
+        g = g + 0.1 * ref
+        m = m * b1 + (1 - b1) * g
+        v = v * b2 + (1 - b2) * (g * g)
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        rho_t = rho_inf - 2.0 * t * b2 ** t / c2
+        if cls is RAdam and rho_t <= 4.0:
+            ref = ref - (0.01 / c1) * m
+        else:
+            lr = 0.01
+            if cls is RAdam:
+                lr *= math.sqrt(((rho_t - 4) * (rho_t - 2) * rho_inf)
+                                / ((rho_inf - 4) * (rho_inf - 2) * rho_t))
+            ref = ref - (lr / c1) * m / (np.sqrt(v / c2) + 1e-8)
+        assert np.array_equal(x.data, ref), t
+
+
 def test_weight_decay_pulls_toward_zero():
     x = ad.parameter(np.array([1.0]))
     opt = Adam([x], lr=0.01, weight_decay=0.5)
@@ -171,6 +202,13 @@ def test_stage1_reaches_high_prior_accuracy_on_separable_data():
 def test_stage1_rejects_empty_dataset():
     with pytest.raises(ConfigError):
         train_stage1([], quick_config())
+
+
+def test_stage1_inside_no_grad_raises_instead_of_not_training():
+    _, bags = small_setup()
+    with ad.no_grad():
+        with pytest.raises(RuntimeError, match="no parameter a gradient"):
+            train_stage1(bags, quick_config())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
