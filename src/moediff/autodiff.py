@@ -7,9 +7,14 @@ and accumulates gradients into every tensor created with
 models in this package need (dense layers, attention, normalization,
 softmax heads, squared/cross-entropy losses).
 
-All ops preserve the dtype of their inputs, so a model built from float64
-parameters runs end to end in float64 (used by the gradient-check tests)
-while the training default is float32.
+Constants take the tensor's dtype: when one operand of ``add``, ``sub``,
+``mul``, ``div`` or ``matmul`` is a ``Tensor`` and the other is not (a
+Python or NumPy scalar, or an ndarray), the other is converted to the
+tensor's floating dtype before the op.  Without this rule NumPy 2 would
+treat a 0-d float64 constant as a strong operand and promote a float32
+graph to float64.  So a model built from float64 parameters runs end to
+end in float64 (used by the gradient-check tests) and a float32 model,
+the training default, stays in float32.
 
 Gradients do not flow through integer indices (``take_rows``) or through
 ``detach``; hard selections made outside the graph are therefore
@@ -45,6 +50,9 @@ def grad_enabled() -> bool:
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    # NumPy operators defer to the reflected Tensor ones (``ndarray * t``
+    # calls ``t.__rmul__``), so the constant rule holds on either side.
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
@@ -176,6 +184,16 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Wrap a binary op's operands; a non-Tensor operand takes the other
+    operand's dtype when that is a floating one."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor) and a.dtype.kind == "f":
+        return a, Tensor(np.asarray(b, dtype=a.dtype))
+    if isinstance(b, Tensor) and not isinstance(a, Tensor) and b.dtype.kind == "f":
+        return Tensor(np.asarray(a, dtype=b.dtype)), b
+    return as_tensor(a), as_tensor(b)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce gradient g back to the given (possibly broadcast) shape."""
     if g.shape == shape:
@@ -199,19 +217,19 @@ def _make(data, parents, backward) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data + b.data
     return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data - b.data
     return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data * b.data
     return _make(
         out,
@@ -221,7 +239,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data / b.data
     return _make(
         out,
@@ -234,7 +252,7 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
     out = a.data @ b.data

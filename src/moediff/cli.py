@@ -101,14 +101,16 @@ def _load_moe_any(ckpt_path) -> tuple[dict, MoEAggregator]:
 def cmd_gen(args) -> int:
     config = _load_config(args.spec)
     out = Path(args.out)
-    guard = OutputGuard([out / "train" / "manifest.json", out / "test" / "manifest.json"])
+    spec = config.synth_spec()
+    train_manifest, train_bags = generate_dataset(
+        spec, config.raw["data"]["train_bags_per_class"])
+    test_manifest, test_bags = generate_dataset(
+        spec, config.raw["data"]["test_bags_per_class"],
+        seed_offset=TEST_SEED_OFFSET, id_prefix="test")
+    guard = OutputGuard([out / split / name
+                         for split, manifest in (("train", train_manifest), ("test", test_manifest))
+                         for name in ["manifest.json", *(e.path for e in manifest.entries)]])
     try:
-        spec = config.synth_spec()
-        train_manifest, train_bags = generate_dataset(
-            spec, config.raw["data"]["train_bags_per_class"])
-        test_manifest, test_bags = generate_dataset(
-            spec, config.raw["data"]["test_bags_per_class"],
-            seed_offset=TEST_SEED_OFFSET, id_prefix="test")
         write_dataset(out / "train", train_manifest, train_bags, stamp=config.stamp())
         write_dataset(out / "test", test_manifest, test_bags, stamp=config.stamp())
     except BaseException:

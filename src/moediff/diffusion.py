@@ -193,8 +193,7 @@ def reverse_step(coeffs: PosteriorCoeffs, f0_hat: np.ndarray, state_t: np.ndarra
 def noise_loss(eps: np.ndarray, eps_hat) -> "Tensor | float":
     """Squared Euclidean distance between true and estimated noise."""
     if isinstance(eps_hat, Tensor):
-        target = Tensor(np.asarray(eps, dtype=eps_hat.dtype))
-        diff = eps_hat - target
+        diff = eps_hat - np.asarray(eps)
         return (diff * diff).sum()
     a, b = np.asarray(eps), np.asarray(eps_hat)
     if a.shape != b.shape:

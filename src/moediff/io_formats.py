@@ -26,7 +26,10 @@ The checkpoint manifest records stage, config hash, epoch, seed, and the
 parameter catalog (name, shape, byte offset), plus a free-form "extra"
 object with whatever the caller needs to rebuild the model.  Because the
 JSON is canonical and parameters are stored sorted by name, loading and
-re-saving a checkpoint is byte-identical.
+re-saving a checkpoint is byte-identical.  The CRC does not cover the
+manifest; the loader instead requires the catalog's blocks to tile the
+payload exactly, in catalog order, under unique names, and every value to
+be finite.
 
 Run configurations are JSON objects merged over a defaults table built
 from the library dataclasses (``TrainConfig``, ``SynthSpec``).  Each
@@ -41,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import struct
 import zlib
@@ -204,6 +208,9 @@ def save_checkpoint(path, params: dict[str, np.ndarray], stage: str, config_hash
 
 def load_checkpoint(path, expect_config_hash: str | None = None,
                     ) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint; raises ``ValidationError`` unless the payload
+    passes its CRC, the catalog's blocks tile it exactly (in catalog order,
+    under unique names) and every value is finite."""
     raw = Path(path).read_bytes()
     if len(raw) < 10 or raw[:4] != CKPT_MAGIC:
         raise BadMagicError(f"{path}: not a checkpoint file")
@@ -212,20 +219,42 @@ def load_checkpoint(path, expect_config_hash: str | None = None,
         raise ValidationError(f"{path}: unsupported checkpoint version {version}")
     if len(raw) < 10 + manifest_len + 4:
         raise TruncatedFileError(f"{path}: truncated manifest")
-    manifest = json.loads(raw[10:10 + manifest_len])
+    try:
+        manifest = json.loads(raw[10:10 + manifest_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path}: unreadable manifest ({exc})") from exc
     payload = raw[10 + manifest_len:-4]
     (crc,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(payload) != crc:
         raise CrcMismatchError(f"{path}: payload checksum mismatch")
+    catalog = manifest.get("params") if isinstance(manifest, dict) else None
+    if not isinstance(catalog, list):
+        raise ValidationError(f"{path}: manifest has no parameter catalog")
     params: dict[str, np.ndarray] = {}
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        block = payload[start:start + 4 * size]
-        if len(block) != 4 * size:
-            raise TruncatedFileError(f"{path}: parameter {entry['name']} truncated")
-        params[entry["name"]] = np.frombuffer(block, dtype="<f4").reshape(shape).copy()
+    end = 0
+    for entry in catalog:
+        try:
+            name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        except (TypeError, KeyError) as exc:
+            raise ValidationError(f"{path}: malformed catalog entry {entry!r}") from exc
+        if not isinstance(name, str) or not all(
+                type(v) is int and v >= 0 for v in (offset, *shape)):
+            raise ValidationError(f"{path}: malformed catalog entry {entry!r}")
+        if name in params:
+            raise ValidationError(f"{path}: parameter {name} listed twice")
+        if offset != end:
+            raise ValidationError(f"{path}: parameter {name} at byte {offset}, "
+                                  f"expected {end} (catalog gap or overlap)")
+        size = math.prod(shape)
+        end = offset + 4 * size
+        if end > len(payload):
+            raise TruncatedFileError(f"{path}: parameter {name} truncated")
+        arr = np.frombuffer(payload, dtype="<f4", count=size, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{path}: parameter {name} has non-finite values")
+        params[name] = arr.reshape(shape).copy()
+    if end != len(payload):
+        raise ValidationError(f"{path}: catalog covers {end} of {len(payload)} payload bytes")
     if expect_config_hash is not None and manifest["config_hash"] != expect_config_hash:
         logger.warning("checkpoint %s was written under config %s, resuming under %s",
                        path, manifest["config_hash"], expect_config_hash)

@@ -162,8 +162,7 @@ def router_probs(router: Linear, adapted: Tensor,
     logits = router(adapted)
     if routing_noise is not None:
         rng, std = routing_noise
-        noise = std * rng.standard_normal(logits.shape)
-        logits = logits + Tensor(noise.astype(router.bias.dtype))
+        logits = logits + std * rng.standard_normal(logits.shape)
     return ad.softmax(logits, axis=-1)
 
 
@@ -364,8 +363,7 @@ def router_supervision_loss(label: int, probs_list: list[Tensor]) -> Tensor | No
 
 def cross_entropy(target: np.ndarray, predicted: Tensor) -> Tensor:
     """Cross-entropy with the predicted log clamped at 1e-12."""
-    t = Tensor(np.asarray(target, dtype=predicted.dtype))
-    return -(t * ad.log(ad.clamp_min(predicted, LOG_CLAMP))).sum()
+    return -(np.asarray(target) * ad.log(ad.clamp_min(predicted, LOG_CLAMP))).sum()
 
 
 def moe_loss(label_one_hot: np.ndarray, output: MoEOutput) -> Tensor:

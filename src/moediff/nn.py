@@ -8,6 +8,8 @@ format rely on.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import autodiff as ad
@@ -63,16 +65,20 @@ class MultiHeadSelfAttention:
         still flows through the residual path); used for training-time
         key dropout, never during evaluation."""
         n = x.shape[0]
+        if key_mask is not None and (key_mask.all() or not key_mask.any()):
+            # Hiding every key leaves nothing to attend to; attend to all.
+            # (In float32 a -1e9 penalty on every logit rounds the logit
+            # differences away and turns attention into a plain average.)
+            key_mask = None
         if not ad.grad_enabled() and n > 2048 and key_mask is None:
             return Tensor(self._forward_chunked(x.data))
         h, d = self.heads, self.head_dim
         q = self.query(x).reshape(n, h, d).swapaxes(0, 1)  # (h, n, d)
         k = self.key(x).reshape(n, h, d).swapaxes(0, 1)
         v = self.value(x).reshape(n, h, d).swapaxes(0, 1)
-        logits = q @ k.swapaxes(1, 2) * (1.0 / np.sqrt(d))
-        if key_mask is not None and key_mask.any():
-            penalty = np.where(key_mask, -1e9, 0.0).astype(x.dtype)
-            logits = logits + Tensor(penalty[None, None, :])
+        logits = q @ k.swapaxes(1, 2) * (1.0 / math.sqrt(d))
+        if key_mask is not None:
+            logits = logits + np.where(key_mask, -1e9, 0.0)[None, None, :]
         attn = ad.softmax(logits, axis=-1)
         mixed = (attn @ v).swapaxes(0, 1).reshape(n, h * d)
         return self.out(mixed)
@@ -91,7 +97,7 @@ class MultiHeadSelfAttention:
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
             qc = np.swapaxes(q[lo:hi], 0, 1)  # (h, c, d)
-            logits = qc @ np.swapaxes(kt, 1, 2) / np.sqrt(d)
+            logits = qc @ np.swapaxes(kt, 1, 2) * (1.0 / math.sqrt(d))
             logits -= logits.max(axis=-1, keepdims=True)
             w = np.exp(logits)
             w /= w.sum(axis=-1, keepdims=True)

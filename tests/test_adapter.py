@@ -4,6 +4,7 @@ import pytest
 from moediff import autodiff as ad
 from moediff.adapter import Adapter, adapt, adapt_with_class_token
 from moediff.autodiff import Tensor, collect_params
+from moediff.nn import MultiHeadSelfAttention
 
 from gradcheck import check_grads
 
@@ -14,7 +15,7 @@ def make_adapter(dim=8, heads=4, seed=0, dtype=np.float64, perturb=0.0) -> Adapt
     if perturb:
         prng = np.random.default_rng(seed + 1)
         for _, p in collect_params(adapter):
-            p.data = p.data + perturb * prng.standard_normal(p.data.shape)
+            p.data = (p.data + perturb * prng.standard_normal(p.data.shape)).astype(dtype)
     return adapter
 
 
@@ -131,3 +132,37 @@ def test_large_bag_finite_chunked_attention():
         out = adapt(adapter, x).numpy()
     assert out.shape == (10_000, 8)
     assert np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("n", [7, 2100])
+def test_float32_adapter_output_is_float32(n):
+    # n = 7 runs the graph path with recording on; n = 2100 under no_grad
+    # takes the chunked plain-numpy path (n > 2048)
+    adapter = make_adapter(dim=8, seed=9, perturb=0.05, dtype=np.float32)
+    x = np.random.default_rng(n).standard_normal((n, 8)).astype(np.float32)
+    if n > 2048:
+        with ad.no_grad():
+            out = adapt(adapter, x)
+    else:
+        out = adapt(adapter, x)
+    assert out.dtype == np.float32
+
+
+def test_float32_key_mask_against_unmasked_attention():
+    rng = np.random.default_rng(21)
+    attn = MultiHeadSelfAttention(8, 2, rng, dtype=np.float32)
+    for _, p in collect_params(attn):  # the output projection starts at zero
+        p.data = (p.data + 0.3 * rng.standard_normal(p.data.shape)).astype(np.float32)
+    x = rng.standard_normal((6, 8)).astype(np.float32)
+    unmasked = attn(Tensor(x)).numpy()
+    # a mask hiding every key leaves nothing to hide from: no mask
+    all_masked = attn(Tensor(x), key_mask=np.ones(6, dtype=bool)).numpy()
+    np.testing.assert_allclose(all_masked, unmasked, atol=1e-6)
+    # one hidden key: every other row attends as if that key were not in the bag
+    mask = np.zeros(6, dtype=bool)
+    mask[2] = True
+    one_masked = attn(Tensor(x), key_mask=mask).numpy()
+    assert one_masked.dtype == np.float32
+    keep = np.flatnonzero(~mask)
+    np.testing.assert_allclose(one_masked[keep], attn(Tensor(x[keep])).numpy(), atol=1e-5)
+    assert np.abs(one_masked - unmasked).max() > 1e-3

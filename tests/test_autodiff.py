@@ -194,10 +194,16 @@ def test_backward_requires_scalar_without_seed():
 
 
 def test_dtype_preserved_float32_and_float64():
+    # constants (Python and NumPy scalars, ndarrays) take the tensor's dtype
     for dtype in (np.float32, np.float64):
         x = parameter(randn(4, 4).astype(dtype), dtype=dtype)
         y = ad.softmax(x @ x, axis=-1)
         assert y.dtype == dtype
+        for out in (x * 2.0, -x, 2.0 - x, x / 2, x @ randn(4, 3), x + np.float64(1.0),
+                    np.float64(3.0) * x, randn(4, 4) - x, x * (1.0 / np.sqrt(4))):
+            assert out.dtype == dtype
+        (-(x * 2.0) / 3 + randn(4, 4)).sum().backward()
+        assert x.grad.dtype == dtype
 
 
 def test_collect_params_walks_nested_objects():

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -133,6 +134,68 @@ def test_checkpoint_crc_enforced(tmp_path):
     raw[-6] ^= 0x01  # corrupt payload near the end
     path.write_bytes(bytes(raw))
     with pytest.raises(CrcMismatchError):
+        load_checkpoint(path)
+
+
+def _two_param_checkpoint(path, b=(5.0, 6.0, 7.0, 8.0)) -> bytes:
+    save_checkpoint(path, {"a": np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32),
+                           "b": np.array(b, dtype=np.float32)},
+                    stage="stage1", config_hash="x", epoch=1, seed=0)
+    return path.read_bytes()
+
+
+def _with_manifest(raw: bytes, edit) -> bytes:
+    """Replace the manifest with edit(manifest bytes), fixing its length."""
+    (length,) = struct.unpack("<I", raw[6:10])
+    manifest = edit(raw[10:10 + length])
+    return raw[:6] + struct.pack("<I", len(manifest)) + manifest + raw[10 + length:]
+
+
+def _catalog_edit(change):
+    def edit(manifest: bytes) -> bytes:
+        doc = json.loads(manifest)
+        change(doc["params"])
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return edit
+
+
+def test_checkpoint_edited_offset_is_rejected(tmp_path):
+    # the CRC covers only the payload: this edit once loaded b from a's bytes
+    path = tmp_path / "c.mexc"
+    raw = _two_param_checkpoint(path)
+    assert raw.count(b'"offset":16') == 1
+    path.write_bytes(raw.replace(b'"offset":16', b'"offset":0 '))
+    with pytest.raises(ValidationError, match="overlap"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    _catalog_edit(lambda cat: cat.append(dict(cat[1]))),                  # b listed twice
+    _catalog_edit(lambda cat: cat[1].update(name="a")),                    # a named twice
+    _catalog_edit(lambda cat: cat.pop()),                                  # payload left over
+    _catalog_edit(lambda cat: cat[1].update(shape=[3])),                   # gap at the end
+    _catalog_edit(lambda cat: cat.reverse()),                              # out of order
+    _catalog_edit(lambda cat: cat[0].update(shape=[2], offset=0)),         # gap in the middle
+    _catalog_edit(lambda cat: cat[1].update(shape=[-4])),                  # negative size
+    _catalog_edit(lambda cat: cat[1].update(offset="16")),                 # wrong type
+    _catalog_edit(lambda cat: cat[1].pop("shape")),                        # missing field
+    lambda manifest: manifest.replace(b"stage1", b"stage\xff"),           # bad UTF-8
+    lambda manifest: manifest[:-1],                                        # bad JSON
+    lambda manifest: b"[]",                                                # no catalog
+], ids=["duplicate-entry", "duplicate-name", "short-catalog", "short-shape", "reordered",
+        "gap", "negative", "offset-type", "no-shape", "utf8", "json", "not-object"])
+def test_checkpoint_bad_catalog_is_validation_error(tmp_path, edit):
+    path = tmp_path / "c.mexc"
+    path.write_bytes(_with_manifest(_two_param_checkpoint(path), edit))
+    with pytest.raises(ValidationError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_parameter_is_rejected(tmp_path, bad):
+    path = tmp_path / "c.mexc"
+    _two_param_checkpoint(path, b=(5.0, bad, 7.0, 8.0))
+    with pytest.raises(ValidationError, match="non-finite"):
         load_checkpoint(path)
 
 
@@ -358,6 +421,27 @@ def test_cli_failure_is_one_line_and_cleans_outputs(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err
     assert not out.exists()
+
+
+def test_cli_gen_failure_removes_the_bag_files_it_wrote(tmp_path, small_config_file,
+                                                       monkeypatch):
+    # fail inside the second write_dataset, after one test bag is written
+    from moediff import io_formats
+    cfg = json.loads(small_config_file.read_text())
+    train_bags = cfg["synth"]["num_classes"] * cfg["data"]["train_bags_per_class"]
+    real_write_bag, calls = io_formats.write_bag, []
+
+    def failing_write_bag(path, bag):
+        calls.append(path)
+        if len(calls) == train_bags + 2:
+            raise OSError("disk full")
+        real_write_bag(path, bag)
+
+    monkeypatch.setattr(io_formats, "write_bag", failing_write_bag)
+    out = tmp_path / "data"
+    assert cli(["gen", "--spec", str(small_config_file), "--out", str(out)]) == 1
+    assert len(calls) == train_bags + 2
+    assert not [p for p in out.rglob("*") if p.is_file()]
 
 
 def test_cli_gen_rejects_bad_config(tmp_path, capsys):

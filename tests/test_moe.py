@@ -4,9 +4,11 @@ import pytest
 from moediff import autodiff as ad
 from moediff.autodiff import Tensor, collect_params
 from moediff.core import Bag, ValidationError, one_hot, validate_probability
+from moediff.adapter import adapt
 from moediff.moe import (MoEAggregator, MoEOutput, SamplingRatios, accept_side, aggregate,
-                         cross_entropy, expert_summarize, moe_loss, prior_predict, route,
-                         score_table, select_routed, topk_filter)
+                         aggregate_detailed, cross_entropy, expert_summarize, moe_loss,
+                         prior_predict, route, router_supervision_loss, score_table,
+                         select_routed, topk_filter)
 from moediff.nn import Linear
 
 from gradcheck import check_grads
@@ -24,7 +26,7 @@ def make_model(num_classes=3, dim=8, seed=0, dtype=np.float64, perturb=0.0) -> M
     if perturb:
         rng = np.random.default_rng(seed + 100)
         for _, p in collect_params(model):
-            p.data = p.data + perturb * rng.standard_normal(p.data.shape)
+            p.data = (p.data + perturb * rng.standard_normal(p.data.shape)).astype(dtype)
     return model
 
 
@@ -354,3 +356,46 @@ def test_score_table_covers_every_instance_expert_pair():
     assert retained, "top-k must retain something"
     assert all(0.0 <= r["score"] <= 1.0 for r in rows)
     assert all(r["routed"] or not r["retained"] for r in rows)
+
+
+# -- precision -------------------------------------------------------------------
+
+
+def test_float32_stage1_graph_and_gradients_stay_float32():
+    # the stage-1 loss with key dropout, routing noise and router supervision
+    model = make_model(dim=16, seed=5, dtype=np.float32, perturb=0.1)
+    bag = make_bag(n=24, dim=16, seed=6, label=1)
+    key_mask = np.random.default_rng(7).random(bag.size) < 0.25
+    out, probs_list = aggregate_detailed(model, bag, SamplingRatios(), key_mask=key_mask,
+                                         routing_noise=(np.random.default_rng(8), 0.5))
+    loss = moe_loss(one_hot(1, 3), out) + 0.5 * router_supervision_loss(1, probs_list)
+    dtypes, seen, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            dtypes.add(node.dtype)
+            stack.extend(node._parents)
+    assert dtypes == {np.dtype(np.float32)}
+    loss.backward()
+    grads = [p.grad for _, p in collect_params(model) if p.grad is not None]
+    assert grads and all(g.dtype == np.float32 for g in grads)
+
+
+def test_float32_aggregator_matches_float64_twin():
+    model = make_model(dim=16, seed=11, dtype=np.float32, perturb=0.1)
+    twin = make_model(dim=16, seed=11)
+    for (_, p32), (_, p64) in zip(collect_params(model), collect_params(twin)):
+        p64.data = p32.data.astype(np.float64)
+    bag = make_bag(n=64, dim=16, seed=12)
+    with ad.no_grad():
+        y32 = adapt(model.adapter_in, bag.instances).numpy()
+        y64 = adapt(twin.adapter_in, bag.instances.astype(np.float64)).numpy()
+    assert y32.dtype == np.float32
+    assert np.abs(y32 - y64).max() <= 1e-5 * np.abs(y64).max()
+
+    def flags(m):
+        return [(r["instance_index"], r["expert_index"], r["routed"], r["retained"])
+                for r in score_table(m, bag, SamplingRatios())]
+
+    assert flags(model) == flags(twin)
