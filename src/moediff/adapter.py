@@ -2,7 +2,9 @@
 
 Two exact multi-head self-attention encoder blocks around a depthwise
 local-mixing block map an (n, dim) instance matrix to an (n, dim) matrix
-in which every output row can depend on every input row.  All residual
+in which every output row can depend on every input row.  Attention runs
+block-wise in bounded memory (``autodiff.attention``), so a bag of
+thousands of instances trains in memory linear in its size.  All residual
 branches start at zero, so a freshly initialized adapter is the identity;
 training moves it away from that point without an unstable warm-up.
 

@@ -4,8 +4,8 @@ A ``Tensor`` wraps an ``ndarray`` and records the operations applied to it;
 ``Tensor.backward()`` walks the recorded graph in reverse topological order
 and accumulates gradients into every tensor created with
 ``requires_grad=True``.  The op set is intentionally small: exactly what the
-models in this package need (dense layers, attention, normalization,
-softmax heads, squared/cross-entropy losses).
+models in this package need (dense layers, block-wise multi-head
+``attention``, normalization, softmax heads, squared/cross-entropy losses).
 
 Constants take the tensor's dtype: when one operand of ``add``, ``sub``,
 ``mul``, ``div`` or ``matmul`` is a ``Tensor`` and the other is not (a
@@ -16,9 +16,8 @@ graph to float64.  So a model built from float64 parameters runs end to
 end in float64 (used by the gradient-check tests) and a float32 model,
 the training default, stays in float32.
 
-Gradients do not flow through integer indices (``take_rows``) or through
-``detach``; hard selections made outside the graph are therefore
-stop-gradients by construction.
+Gradients do not flow through integer indices (``take_rows``), so hard
+selections made outside the graph are stop-gradients by construction.
 """
 
 from __future__ import annotations
@@ -83,9 +82,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # -- graph mechanics ----------------------------------------------------
 
@@ -165,9 +161,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
 
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
 
@@ -216,53 +209,38 @@ def _make(data, parents, backward) -> Tensor:
 # -- elementwise arithmetic ---------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _binary(op, a, b, grad_a, grad_b) -> Tensor:
+    """Record ``op(a, b)``.  ``grad_a(g, x, y)``/``grad_b`` run only for an
+    operand that needs a gradient: a parameter or a recorded op's output."""
     a, b = _operands(a, b)
-    out = a.data + b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    return _make(op(a.data, b.data), (a, b), lambda g: (
+        _unbroadcast(grad_a(g, a.data, b.data), a.data.shape) if a.requires_grad or a._parents else None,
+        _unbroadcast(grad_b(g, a.data, b.data), b.data.shape) if b.requires_grad or b._parents else None,
+    ))
+
+
+def add(a, b) -> Tensor:
+    return _binary(np.add, a, b, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    out = a.data - b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+    return _binary(np.subtract, a, b, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    out = a.data * b.data
-    return _make(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
-    )
+    return _binary(np.multiply, a, b, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    out = a.data / b.data
-    return _make(
-        out,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
-    )
+    return _binary(np.divide, a, b, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def matmul(a, b) -> Tensor:
     a, b = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    out = a.data @ b.data
-
-    def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        return ga, gb
-
-    return _make(out, (a, b), backward)
+    return _binary(np.matmul, a, b, lambda g, x, y: g @ np.swapaxes(y, -1, -2),
+                   lambda g, x, y: np.swapaxes(x, -1, -2) @ g)
 
 
 def log(a) -> Tensor:
@@ -278,9 +256,7 @@ def tanh(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-    return _make(out, (a,), lambda g: (g * (a.data > 0),))
+    return clamp_min(a, 0.0)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -312,31 +288,25 @@ def clamp_min(a, floor: float) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
+def _spread(g, shape, axis, keepdims) -> np.ndarray:
+    """A reduction's output gradient, broadcast back over the input shape."""
+    g = np.asarray(g)
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
 def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return _make(out, (a,), backward)
+    return _make(out, (a,), lambda g: (_spread(g, a.data.shape, axis, keepdims).copy(),))
 
 
 def mean(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.data.shape[axis]
-
-    def backward(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape) / count,)
-
-    return _make(out, (a,), backward)
+    return _make(out, (a,), lambda g: (_spread(g, a.data.shape, axis, keepdims) / count,))
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -346,12 +316,6 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = a.data.reshape(shape)
     return _make(out, (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-def swapaxes(a, ax1, ax2) -> Tensor:
-    a = as_tensor(a)
-    out = np.swapaxes(a.data, ax1, ax2)
-    return _make(out, (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -404,6 +368,63 @@ def softmax(a, axis: int = -1) -> Tensor:
         return (out * (g - dot),)
 
     return _make(out, (a,), backward)
+
+
+_ATTENTION_BLOCK = 1 << 22  # most logits ``attention`` holds at once (16 MiB in float32)
+
+
+def attention(q, k, v, heads: int, key_mask: np.ndarray | None = None) -> Tensor:
+    """Exact multi-head scaled dot-product attention of (n, dim) query,
+    key and value rows, in memory linear in n.
+
+    Head h uses columns ``h*d:(h+1)*d``, ``d = dim // heads``.  Query rows
+    run in blocks whose (heads, rows, n) logits stay under
+    ``_ATTENTION_BLOCK`` elements; forward keeps each row's log-sum-exp and
+    backward recomputes each block's softmax from it (Rabe & Staats, arXiv
+    2112.05682).  ``key_mask`` (True = hidden) must leave a key visible.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    n, dim = q.shape
+    d = dim // heads
+    scale = q.dtype.type(1.0 / np.sqrt(d))
+    qh, kh, vh = (np.ascontiguousarray(t.data.reshape(n, heads, d).transpose(1, 0, 2))
+                  for t in (q, k, v))  # (heads, n, d)
+    qh = qh * scale  # not in place: with one head, qh is q's own array
+    rows = max(1, _ATTENTION_BLOCK // (heads * n))
+    blocks = [slice(lo, lo + rows) for lo in range(0, n, rows)]
+
+    def exp_logits(blk, shift):  # exp(q k^T - shift) over (heads, rows, n)
+        s = qh[:, blk] @ kh.transpose(0, 2, 1)
+        if key_mask is not None:
+            s[:, :, key_mask] = -np.inf
+        if shift is None:
+            shift = s.max(axis=-1, keepdims=True)
+        s -= shift
+        return np.exp(s, out=s), shift
+
+    out, lse = np.empty_like(qh), np.empty((heads, n, 1), qh.dtype)
+    for blk in blocks:
+        p, top = exp_logits(blk, None)
+        total = p.sum(axis=-1, keepdims=True)
+        out[:, blk] = p @ vh / total
+        lse[:, blk] = top + np.log(total)
+
+    def backward(g):
+        gh = np.ascontiguousarray(g.reshape(n, heads, d).transpose(1, 0, 2))
+        delta = (gh * out).sum(axis=-1, keepdims=True)  # rowsum(dO * O)
+        gq, gk, gv = np.empty_like(qh), np.zeros_like(kh), np.zeros_like(vh)
+        for blk in blocks:
+            p, _ = exp_logits(blk, lse[:, blk])
+            gv += p.transpose(0, 2, 1) @ gh[:, blk]
+            gs = gh[:, blk] @ vh.transpose(0, 2, 1)
+            gs -= delta[:, blk]
+            gs *= p
+            gq[:, blk] = gs @ kh
+            gk += gs.transpose(0, 2, 1) @ qh[:, blk]
+        gq *= scale
+        return tuple(t.transpose(1, 0, 2).reshape(n, dim) for t in (gq, gk, gv))
+
+    return _make(out.transpose(1, 0, 2).reshape(n, dim), (q, k, v), backward)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:

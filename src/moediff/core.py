@@ -92,6 +92,9 @@ class DatasetManifest:
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate bag_id in manifest")
         for e in self.entries:
+            if Path(e.path).is_absolute() or ".." in Path(e.path).parts:
+                raise ValidationError(f"manifest entry {e.bag_id!r}: path {e.path!r} "
+                                      "leaves the dataset directory")
             if not 0 <= e.label < self.class_count:
                 raise DomainError(f"manifest entry {e.bag_id!r}: label {e.label} out of range")
 

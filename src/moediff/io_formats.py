@@ -137,15 +137,28 @@ def save_manifest(path, manifest: DatasetManifest, stamp: dict | None = None) ->
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _field(path, doc: dict, key: str, kind: type):
+    value = doc.get(key)
+    if type(value) is not kind:  # exactly: neither True nor "3" is an int
+        raise ValidationError(f"{path}: {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_manifest(path, check_files: bool = True) -> DatasetManifest:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "moediff-dataset":
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path}: unreadable manifest ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "moediff-dataset":
         raise ValidationError(f"{path}: not a dataset manifest")
+    entries = doc.get("entries")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValidationError(f"{path}: 'entries' must be a list of objects")
     manifest = DatasetManifest(
-        entries=[ManifestEntry(bag_id=e["bag_id"], path=e["path"], label=int(e["label"]))
-                 for e in doc["entries"]],
-        class_count=int(doc["class_count"]),
-        embedding_dim=int(doc["embedding_dim"]),
+        entries=[ManifestEntry(bag_id=_field(path, e, "bag_id", str), path=_field(path, e, "path", str),
+                               label=_field(path, e, "label", int)) for e in entries],
+        class_count=_field(path, doc, "class_count", int),
+        embedding_dim=_field(path, doc, "embedding_dim", int),
         meta=doc.get("meta", {}),
     )
     if check_files:
@@ -158,6 +171,10 @@ def load_bags(manifest_path) -> tuple[DatasetManifest, list[Bag]]:
     root = Path(manifest_path).parent
     bags = [read_bag(root / e.path, label=e.label, bag_id=e.bag_id)
             for e in manifest.entries]
+    for e, bag in zip(manifest.entries, bags):
+        if bag.dim != manifest.embedding_dim:
+            raise ValidationError(f"{root / e.path}: {bag.dim}-wide instances, manifest "
+                                  f"declares embedding_dim {manifest.embedding_dim}")
     return manifest, bags
 
 

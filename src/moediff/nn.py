@@ -8,8 +8,6 @@ format rely on.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autodiff as ad
@@ -45,8 +43,10 @@ class LayerNorm:
 class MultiHeadSelfAttention:
     """Exact multi-head self-attention over a set of row vectors.
 
-    The output projection starts at zero so that a residual block built on
-    this layer is the identity at initialization.
+    One path for training and inference: ``autodiff.attention`` runs it
+    block-wise, in memory linear in the number of rows.  The output
+    projection starts at zero so that a residual block built on this
+    layer is the identity at initialization.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
@@ -64,46 +64,11 @@ class MultiHeadSelfAttention:
         """key_mask marks rows to hide from attention (their own content
         still flows through the residual path); used for training-time
         key dropout, never during evaluation."""
-        n = x.shape[0]
         if key_mask is not None and (key_mask.all() or not key_mask.any()):
-            # Hiding every key leaves nothing to attend to; attend to all.
-            # (In float32 a -1e9 penalty on every logit rounds the logit
-            # differences away and turns attention into a plain average.)
+            # Hiding every key leaves nothing to attend to (all logits -inf).
             key_mask = None
-        if not ad.grad_enabled() and n > 2048 and key_mask is None:
-            return Tensor(self._forward_chunked(x.data))
-        h, d = self.heads, self.head_dim
-        q = self.query(x).reshape(n, h, d).swapaxes(0, 1)  # (h, n, d)
-        k = self.key(x).reshape(n, h, d).swapaxes(0, 1)
-        v = self.value(x).reshape(n, h, d).swapaxes(0, 1)
-        logits = q @ k.swapaxes(1, 2) * (1.0 / math.sqrt(d))
-        if key_mask is not None:
-            logits = logits + np.where(key_mask, -1e9, 0.0)[None, None, :]
-        attn = ad.softmax(logits, axis=-1)
-        mixed = (attn @ v).swapaxes(0, 1).reshape(n, h * d)
+        mixed = ad.attention(self.query(x), self.key(x), self.value(x), self.heads, key_mask)
         return self.out(mixed)
-
-    def _forward_chunked(self, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
-        """Plain-numpy evaluation with query chunking; keeps memory bounded
-        for bags of tens of thousands of instances."""
-        n = x.shape[0]
-        h, d = self.heads, self.head_dim
-        q = (x @ self.query.weight.data + self.query.bias.data).reshape(n, h, d)
-        k = (x @ self.key.weight.data + self.key.bias.data).reshape(n, h, d)
-        v = (x @ self.value.weight.data + self.value.bias.data).reshape(n, h, d)
-        kt = np.swapaxes(k, 0, 1)  # (h, n, d)
-        vt = np.swapaxes(v, 0, 1)
-        out = np.empty_like(x)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            qc = np.swapaxes(q[lo:hi], 0, 1)  # (h, c, d)
-            logits = qc @ np.swapaxes(kt, 1, 2) * (1.0 / math.sqrt(d))
-            logits -= logits.max(axis=-1, keepdims=True)
-            w = np.exp(logits)
-            w /= w.sum(axis=-1, keepdims=True)
-            mixed = np.swapaxes(w @ vt, 0, 1).reshape(hi - lo, h * d)
-            out[lo:hi] = mixed @ self.out.weight.data + self.out.bias.data
-        return out
 
 
 class FeedForward:

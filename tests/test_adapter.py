@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from moediff import autodiff as ad
 from moediff.adapter import Adapter, adapt, adapt_with_class_token
-from moediff.autodiff import Tensor, collect_params
+from moediff.autodiff import Tensor, collect_params, parameter
 from moediff.nn import MultiHeadSelfAttention
 
 from gradcheck import check_grads
@@ -124,8 +126,8 @@ def test_class_token_depends_on_instances_after_training_step():
 
 
 def test_large_bag_finite_chunked_attention():
-    # eval path must handle 10^4 instances without building the full
-    # attention matrix graph
+    # 10^4 instances: attention runs in query blocks and never holds the
+    # (heads, n, n) logits
     adapter = make_adapter(dim=8, seed=8, perturb=0.05, dtype=np.float32)
     x = np.random.default_rng(16).standard_normal((10_000, 8)).astype(np.float32)
     with ad.no_grad():
@@ -136,8 +138,8 @@ def test_large_bag_finite_chunked_attention():
 
 @pytest.mark.parametrize("n", [7, 2100])
 def test_float32_adapter_output_is_float32(n):
-    # n = 7 runs the graph path with recording on; n = 2100 under no_grad
-    # takes the chunked plain-numpy path (n > 2048)
+    # one attention path in both modes: recording on at n = 7, and no_grad
+    # at n = 2100, which runs several query blocks
     adapter = make_adapter(dim=8, seed=9, perturb=0.05, dtype=np.float32)
     x = np.random.default_rng(n).standard_normal((n, 8)).astype(np.float32)
     if n > 2048:
@@ -146,6 +148,51 @@ def test_float32_adapter_output_is_float32(n):
     else:
         out = adapt(adapter, x)
     assert out.dtype == np.float32
+
+
+@pytest.mark.parametrize("n", [1, 7, 513, 4096])
+def test_float32_adapter_against_float64_twin(n):
+    # same parameters in both precisions
+    twin = make_adapter(dim=16, seed=10, perturb=0.1)
+    adapter = make_adapter(dim=16, seed=10, dtype=np.float32)
+    for (_, p32), (_, p64) in zip(collect_params(adapter), collect_params(twin)):
+        p32.data = p64.data.astype(np.float32)
+    x = np.random.default_rng(n).standard_normal((n, 16))
+    weights = np.random.default_rng(n + 1).standard_normal((n, 16))
+    runs = []
+    for model, dtype in ((twin, np.float64), (adapter, np.float32)):
+        out = adapt(model, x.astype(dtype))
+        (out * weights.astype(dtype)).sum().backward()
+        runs.append((out.numpy(), [p.grad for _, p in collect_params(model)]))
+    (y64, g64), (y32, g32) = runs
+    assert y32.dtype == np.float32
+    assert np.abs(y32 - y64).max() <= 1e-6 * np.abs(y64).max()
+    largest = max(np.abs(g).max() for g in g64)
+    for a, b in zip(g32, g64):
+        scale = np.abs(b).max()
+        if scale < 1e-9 * largest:  # the key bias: softmax ignores a shift of every key
+            scale = largest
+        assert np.abs(a - b).max() <= 1e-5 * scale
+
+
+def test_attention_peak_memory_at_4096_rows():
+    # n = 4096 in float32: one (4, n, n) array alone would take 256 MiB
+    rng = np.random.default_rng(22)
+    attn = MultiHeadSelfAttention(16, 4, rng, dtype=np.float32)
+    for _, p in collect_params(attn):  # the output projection starts at zero
+        p.data = (p.data + 0.3 * rng.standard_normal(p.data.shape)).astype(np.float32)
+    x = parameter(rng.standard_normal((4096, 16)), dtype=np.float32)
+    mask = rng.random(4096) < 0.1
+    tracemalloc.start()
+    try:
+        out = attn(x, key_mask=mask)
+        out.sum().backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad.dtype == np.float32 and np.isfinite(x.grad).all()
+    assert np.abs(x.grad).max() > 0
+    assert peak < 128 * 2**20
 
 
 def test_float32_key_mask_against_unmasked_attention():

@@ -110,6 +110,76 @@ def test_manifest_missing_file_detected(tmp_path):
         load_manifest(manifest_path)
 
 
+def _two_split_dataset(tmp_path):
+    """A train and a test split laid out as ``moediff gen`` writes them;
+    returns the test manifest path and the first training bag's id."""
+    spec = SynthSpec(num_classes=2, embedding_dim=8, instances_min=3, instances_max=5,
+                     positive_fraction=0.5, seed=4)
+    train, train_bags = generate_dataset(spec, 2)
+    test, test_bags = generate_dataset(spec, 1, seed_offset=1000, id_prefix="test")
+    write_dataset(tmp_path / "ds" / "train", train, train_bags)
+    return write_dataset(tmp_path / "ds" / "test", test, test_bags), train.entries[0].bag_id
+
+
+def _edit_manifest(path, edit) -> None:
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_manifest_entry_outside_dataset_is_rejected(tmp_path, absolute):
+    manifest_path, train_id = _two_split_dataset(tmp_path)
+    other = tmp_path / "ds" / "train" / "bags" / f"{train_id}.mexb"
+    path = str(other) if absolute else f"../train/bags/{train_id}.mexb"
+    _edit_manifest(manifest_path, lambda doc: doc["entries"][0].update(path=path))
+    with pytest.raises(ValidationError, match="leaves the dataset directory"):
+        load_bags(manifest_path)
+
+
+def test_manifest_wrong_embedding_dim_is_rejected(tmp_path):
+    manifest_path, _ = _two_split_dataset(tmp_path)
+    _edit_manifest(manifest_path, lambda doc: doc.update(embedding_dim=5))
+    with pytest.raises(ValidationError, match="embedding_dim 5"):
+        load_bags(manifest_path)
+
+
+@pytest.mark.parametrize("label", ["1", 1.0, True])
+def test_manifest_label_must_be_an_int(tmp_path, label):
+    manifest_path, _ = _two_split_dataset(tmp_path)
+    _edit_manifest(manifest_path, lambda doc: doc["entries"][0].update(label=label))
+    with pytest.raises(ValidationError, match="'label' must be int"):
+        load_manifest(manifest_path)
+
+
+def test_manifest_class_count_must_be_an_int(tmp_path):
+    manifest_path, _ = _two_split_dataset(tmp_path)
+    _edit_manifest(manifest_path, lambda doc: doc.update(class_count="3"))
+    with pytest.raises(ValidationError, match="'class_count' must be int"):
+        load_manifest(manifest_path)
+
+
+def test_manifest_bad_json_is_validation_error(tmp_path):
+    manifest_path, _ = _two_split_dataset(tmp_path)
+    manifest_path.write_text(manifest_path.read_text()[:-3])
+    with pytest.raises(ValidationError, match="unreadable manifest"):
+        load_manifest(manifest_path)
+
+
+def test_manifest_missing_entries_is_validation_error(tmp_path):
+    manifest_path, _ = _two_split_dataset(tmp_path)
+    _edit_manifest(manifest_path, lambda doc: doc.pop("entries"))
+    with pytest.raises(ValidationError, match="'entries' must be a list"):
+        load_manifest(manifest_path)
+
+
+def test_manifest_entries_not_a_list_is_validation_error(tmp_path):
+    manifest_path, _ = _two_split_dataset(tmp_path)
+    _edit_manifest(manifest_path, lambda doc: doc.update(entries=3))
+    with pytest.raises(ValidationError, match="'entries' must be a list"):
+        load_manifest(manifest_path)
+
+
 # -- checkpoints --------------------------------------------------------------------
 
 
