@@ -155,6 +155,9 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
+    def __rmatmul__(self, other):
+        return matmul(other, self)
+
     def __getitem__(self, key):
         return take(self, key)
 

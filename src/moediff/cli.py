@@ -5,6 +5,10 @@ Subcommands: ``gen`` (synthetic dataset), ``train-moe`` (stage 1),
 ``predict`` (single bag), ``export-scores`` (per-instance router scores),
 ``sweep-alpha`` (sampling-ratio grid).
 
+``eval`` and ``predict`` sample with the checkpoint's schedule, ratios,
+sample count (``predict --samples`` overrides it), stride, alpha and
+``use_prior``; from ``--config``, ``eval`` takes only the seed and stamp.
+
 Every run embeds a reproducibility stamp (config hash, seed, artifact
 version) in its outputs.  Failures print one machine-parseable line to
 stderr (``error: <kind>: <detail>``) and remove partially written
@@ -15,14 +19,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import derive_seed
 from .diffusion import Denoiser, default_schedule
 from .evaluate import evaluate, predict_bag
 from .io_formats import (RunConfig, apply_params, export_params, load_bags,
@@ -31,23 +33,26 @@ from .io_formats import (RunConfig, apply_params, export_params, load_bags,
 from .metrics import qq_export
 from .moe import MoEAggregator, SamplingRatios, score_table
 from .synthetic import generate_dataset
-from .training import train_stage1, train_stage2
+from .training import DiffusionConfig, train_stage1, train_stage2
 
 TEST_SEED_OFFSET = 1_000_000
 
 
 class OutputGuard:
-    """Tracks declared output paths and removes the ones this run created
-    if the command fails."""
+    """Context manager over declared output paths: when its body raises, it
+    removes the ones this run created."""
 
     def __init__(self, paths):
         self.paths = [Path(p) for p in paths]
         self.preexisting = {p for p in self.paths if p.exists()}
 
-    def cleanup(self):
-        for p in self.paths:
-            if p not in self.preexisting and p.exists():
-                if p.is_file():
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for p in self.paths:
+                if p not in self.preexisting and p.is_file():
                     p.unlink()
 
 
@@ -55,47 +60,38 @@ def _load_config(path: str | None) -> RunConfig:
     return RunConfig.load(path) if path else RunConfig.from_dict({})
 
 
-def _build_moe(extra: dict) -> MoEAggregator:
-    return MoEAggregator(
-        num_classes=extra["num_classes"],
-        dim=extra["embedding_dim"],
-        rng=np.random.default_rng(0),
-        heads=extra["model"]["heads"],
-        ff_multiple=extra["model"]["ff_multiple"],
-    )
-
-
-def _build_denoiser(extra: dict) -> Denoiser:
-    return Denoiser(
-        num_classes=extra["num_classes"],
-        dim=extra["embedding_dim"],
-        rng=np.random.default_rng(0),
-        hidden=extra["model"]["denoiser_hidden"],
-        time_dim=extra["model"]["time_embed_dim"],
-    )
-
-
-def _load_stage2_models(ckpt_path) -> tuple[dict, MoEAggregator, Denoiser]:
-    manifest, params = load_checkpoint(ckpt_path)
-    if manifest["stage"] != "stage2":
-        raise ValueError(f"{ckpt_path} is a {manifest['stage']} checkpoint, expected stage2")
+def _load_models(path, stage2: bool = True) -> tuple[dict, MoEAggregator, Denoiser | None]:
+    """Rebuild a checkpoint's models from its ``extra``.  With ``stage2``
+    the checkpoint must be a stage-2 one and its denoiser comes back too;
+    without, only the aggregator is read, from either stage."""
+    manifest, params = load_checkpoint(path)
+    if stage2 and manifest["stage"] != "stage2":
+        raise ValueError(f"{path} is a {manifest['stage']} checkpoint, expected stage2")
     extra = manifest["extra"]
-    moe = _build_moe(extra)
-    den = _build_denoiser(extra)
-    apply_params(moe, {k[len("moe."):]: v for k, v in params.items() if k.startswith("moe.")})
-    apply_params(den, {k[len("denoiser."):]: v for k, v in params.items()
-                       if k.startswith("denoiser.")})
+    model = extra["model"]
+
+    def part(prefix: str) -> dict:
+        return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+
+    moe = MoEAggregator(num_classes=extra["num_classes"], dim=extra["embedding_dim"],
+                        rng=np.random.default_rng(0), heads=model["heads"],
+                        ff_multiple=model["ff_multiple"])
+    apply_params(moe, part("moe.") if manifest["stage"] == "stage2" else params)
+    if not stage2:
+        return manifest, moe, None
+    den = Denoiser(num_classes=extra["num_classes"], dim=extra["embedding_dim"],
+                   rng=np.random.default_rng(0), hidden=model["denoiser_hidden"],
+                   time_dim=model["time_embed_dim"])
+    apply_params(den, part("denoiser."))
     return manifest, moe, den
 
 
-def _load_moe_any(ckpt_path) -> tuple[dict, MoEAggregator]:
-    manifest, params = load_checkpoint(ckpt_path)
-    extra = manifest["extra"]
-    moe = _build_moe(extra)
-    if manifest["stage"] == "stage2":
-        params = {k[len("moe."):]: v for k, v in params.items() if k.startswith("moe.")}
-    apply_params(moe, params)
-    return manifest, moe
+def _sampler(diffusion: DiffusionConfig, ratios: SamplingRatios, alpha: float) -> dict:
+    """The sampler arguments of ``evaluate`` and ``predict_bag``: all but
+    the models, the bags and the seed."""
+    return {"sched": default_schedule(diffusion.timesteps, diffusion.beta_min),
+            "ratios": ratios, "n_samples": diffusion.n_samples, "stride": diffusion.stride,
+            "alpha": alpha, "use_prior": diffusion.use_prior}
 
 
 def cmd_gen(args) -> int:
@@ -107,28 +103,21 @@ def cmd_gen(args) -> int:
     test_manifest, test_bags = generate_dataset(
         spec, config.raw["data"]["test_bags_per_class"],
         seed_offset=TEST_SEED_OFFSET, id_prefix="test")
-    guard = OutputGuard([out / split / name
-                         for split, manifest in (("train", train_manifest), ("test", test_manifest))
-                         for name in ["manifest.json", *(e.path for e in manifest.entries)]])
-    try:
+    with OutputGuard([out / split / name
+                      for split, manifest in (("train", train_manifest), ("test", test_manifest))
+                      for name in ["manifest.json", *(e.path for e in manifest.entries)]]):
         write_dataset(out / "train", train_manifest, train_bags, stamp=config.stamp())
         write_dataset(out / "test", test_manifest, test_bags, stamp=config.stamp())
-    except BaseException:
-        guard.cleanup()
-        raise
     print(f"wrote {len(train_bags)} train / {len(test_bags)} test bags under {out}")
     return 0
 
 
 def cmd_train_moe(args) -> int:
     config = _load_config(args.config)
-    guard = OutputGuard([args.out])
-    try:
+    with OutputGuard([args.out]):
         _, train_bags = load_bags(Path(args.data) / "train" / "manifest.json")
-        eval_bags = None
         test_manifest = Path(args.data) / "test" / "manifest.json"
-        if test_manifest.exists():
-            _, eval_bags = load_bags(test_manifest)
+        eval_bags = load_bags(test_manifest)[1] if test_manifest.exists() else None
         tc = config.train_config()
         model, log = train_stage1(train_bags, tc, eval_bags=eval_bags,
                                   num_classes=config.raw["synth"]["num_classes"])
@@ -138,17 +127,13 @@ def cmd_train_moe(args) -> int:
         final = log[-1]
         acc = f" acc={final['acc']:.4f}" if "acc" in final else ""
         print(f"stage1 done: loss={final['loss']:.6f}{acc} -> {args.out}")
-    except BaseException:
-        guard.cleanup()
-        raise
     return 0
 
 
 def cmd_train_diff(args) -> int:
     config = _load_config(args.config)
-    guard = OutputGuard([args.out])
-    try:
-        _, moe = _load_moe_any(args.moe)
+    with OutputGuard([args.out]):
+        _, moe, _ = _load_models(args.moe, stage2=False)
         _, train_bags = load_bags(Path(args.data) / "train" / "manifest.json")
         tc = config.train_config()
         denoiser, log = train_stage2(train_bags, moe, tc)
@@ -158,25 +143,19 @@ def cmd_train_diff(args) -> int:
                         config_hash=config.config_hash(), epoch=tc.stage2.epochs,
                         seed=config.seed, extra=config.model_extra())
         print(f"stage2 done: loss={log[-1]['loss']:.6f} -> {args.out}")
-    except BaseException:
-        guard.cleanup()
-        raise
     return 0
 
 
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
-    guard = OutputGuard([args.report, str(args.report) + ".json"])
-    try:
-        manifest, moe, denoiser = _load_stage2_models(args.ckpt)
+    with OutputGuard([args.report, str(args.report) + ".json"]):
+        manifest, moe, denoiser = _load_models(args.ckpt)
         extra = manifest["extra"]
         _, test_bags = load_bags(Path(args.data) / "test" / "manifest.json")
-        diff = extra["diffusion"]
-        sched = default_schedule(diff["timesteps"], diff["beta_min"])
         report, records = evaluate(
-            moe, denoiser, sched, test_bags, SamplingRatios(**extra["ratios"]),
-            n_samples=diff["n_samples"], stride=diff["stride"], seed=config.seed,
-            alpha=extra["uncertainty"]["alpha"], use_prior=diff["use_prior"])
+            moe, denoiser, bags=test_bags, seed=config.seed,
+            **_sampler(DiffusionConfig(**extra["diffusion"]), SamplingRatios(**extra["ratios"]),
+                       extra["uncertainty"]["alpha"]))
         write_report(args.report, report, stamp=config.stamp(),
                      extra={"bags": len(records), "checkpoint": str(args.ckpt)})
         if args.qq:
@@ -192,30 +171,25 @@ def cmd_eval(args) -> int:
                             fh.write(f"{bag_id}\t{theo:.6f}\t{emp:.6f}\n")
         print(f"f1={report.f1_macro:.4f} acc={report.accuracy:.4f} "
               f"auc={report.auc_macro:.4f} pavpu={report.pavpu:.4f}")
-    except BaseException:
-        guard.cleanup()
-        raise
     return 0
 
 
 def cmd_predict(args) -> int:
-    manifest, moe, denoiser = _load_stage2_models(args.ckpt)
+    manifest, moe, denoiser = _load_models(args.ckpt)
     extra = manifest["extra"]
     bag = read_bag(args.bag)
-    diff = extra["diffusion"]
-    sched = default_schedule(diff["timesteps"], diff["beta_min"])
-    record = predict_bag(moe, denoiser, sched, bag, SamplingRatios(**extra["ratios"]),
-                         n_samples=args.samples, stride=diff["stride"], seed=args.seed,
-                         alpha=extra["uncertainty"]["alpha"], use_prior=diff["use_prior"])
+    sampler = _sampler(DiffusionConfig(**extra["diffusion"]), SamplingRatios(**extra["ratios"]),
+                       extra["uncertainty"]["alpha"])
+    sampler["n_samples"] = args.samples
+    record = predict_bag(moe, denoiser, bag=bag, seed=args.seed, **sampler)
     print(f"bag_id={bag.bag_id} label={record.point_prediction} "
           f"p_value={record.p_value:.6g} certain={str(record.certain).lower()}")
     return 0
 
 
 def cmd_export_scores(args) -> int:
-    guard = OutputGuard([args.out])
-    try:
-        manifest, moe = _load_moe_any(args.ckpt)
+    with OutputGuard([args.out]):
+        manifest, moe, _ = _load_models(args.ckpt, stage2=False)
         ratios = SamplingRatios(**manifest["extra"]["ratios"])
         _, bags = load_bags(Path(args.data) / "test" / "manifest.json")
         with open(args.out, "w", newline="") as fh:
@@ -227,17 +201,13 @@ def cmd_export_scores(args) -> int:
             for bag in bags:
                 for row in score_table(moe, bag, ratios):
                     writer.writerow(row)
-    except BaseException:
-        guard.cleanup()
-        raise
     print(f"wrote router scores -> {args.out}")
     return 0
 
 
 def cmd_sweep_alpha(args) -> int:
     config = _load_config(args.config)
-    guard = OutputGuard([args.out])
-    try:
+    with OutputGuard([args.out]):
         left, _, right = args.grid.partition("x")
         alpha0_values = [float(v) for v in left.split(",") if v]
         alpha1_values = [float(v) for v in right.split(",") if v]
@@ -253,11 +223,9 @@ def cmd_sweep_alpha(args) -> int:
                 moe, _ = train_stage1(train_bags, tc,
                                       num_classes=config.raw["synth"]["num_classes"])
                 denoiser, _ = train_stage2(train_bags, moe, tc)
-                sched = default_schedule(tc.diffusion.timesteps, tc.diffusion.beta_min)
-                report, _ = evaluate(moe, denoiser, sched, test_bags, tc.ratios,
-                                     n_samples=tc.diffusion.n_samples,
-                                     stride=tc.diffusion.stride, seed=config.seed,
-                                     alpha=config.raw["uncertainty"]["alpha"])
+                report, _ = evaluate(moe, denoiser, bags=test_bags, seed=config.seed,
+                                     **_sampler(tc.diffusion, tc.ratios,
+                                                config.raw["uncertainty"]["alpha"]))
                 rows.append((alpha0, alpha1, report.f1_macro, report.accuracy,
                              report.auc_macro, report.pavpu))
                 print(f"alpha0={alpha0} alpha1={alpha1} acc={report.accuracy:.4f}")
@@ -267,9 +235,6 @@ def cmd_sweep_alpha(args) -> int:
             fh.write("alpha0\talpha1\tf1_macro\taccuracy\tauc_macro\tpavpu\n")
             for row in rows:
                 fh.write("\t".join(f"{v:.6g}" for v in row) + "\n")
-    except BaseException:
-        guard.cleanup()
-        raise
     print(f"wrote sweep table -> {args.out}")
     return 0
 

@@ -25,25 +25,14 @@ def predict_bag(moe_model: MoEAggregator, denoiser: Denoiser, sched: NoiseSchedu
                             true_label=bag.label, certain=certain, p_value=p_value)
 
 
-def predict_records(moe_model: MoEAggregator, denoiser: Denoiser, sched: NoiseSchedule,
-                    bags: list[Bag], ratios: SamplingRatios, n_samples: int = 100,
-                    stride: int = 1, seed: int = 0, alpha: float = 0.05,
-                    use_prior: bool = True) -> list[PredictionRecord]:
-    """Records for a list of bags; per-bag sampling seeds derive from seed."""
-    return [
-        predict_bag(moe_model, denoiser, sched, bag, ratios, n_samples=n_samples,
-                    stride=stride, seed=derive_seed(seed, i), alpha=alpha,
-                    use_prior=use_prior)
-        for i, bag in enumerate(bags)
-    ]
-
-
 def evaluate(moe_model: MoEAggregator, denoiser: Denoiser, sched: NoiseSchedule,
              bags: list[Bag], ratios: SamplingRatios, n_samples: int = 100,
              stride: int = 1, seed: int = 0, alpha: float = 0.05,
              use_prior: bool = True) -> tuple[MetricReport, list[PredictionRecord]]:
-    """Full metric report (including PAvPU) over a bag list."""
-    records = predict_records(moe_model, denoiser, sched, bags, ratios,
-                              n_samples=n_samples, stride=stride, seed=seed,
-                              alpha=alpha, use_prior=use_prior)
+    """Full metric report (including PAvPU) and per-bag records; each bag's
+    sampling seed derives from ``seed`` and its position in the list."""
+    records = [predict_bag(moe_model, denoiser, sched, bag, ratios, n_samples=n_samples,
+                           stride=stride, seed=derive_seed(seed, i), alpha=alpha,
+                           use_prior=use_prior)
+               for i, bag in enumerate(bags)]
     return full_report(records, num_classes=moe_model.num_classes), records

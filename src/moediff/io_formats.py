@@ -48,16 +48,18 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .core import (Bag, ConfigError, DatasetManifest, ManifestEntry, ValidationError)
+from .core import (Bag, ConfigError, DatasetManifest, DomainError, ManifestEntry,
+                   ValidationError)
 from .moe import SamplingRatios
 from .synthetic import SynthSpec
-from .training import DiffusionConfig, ModelConfig, StageConfig, TrainConfig
+from .training import TrainConfig
 
 logger = logging.getLogger(__name__)
 
@@ -154,13 +156,20 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
     entries = doc.get("entries")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValidationError(f"{path}: 'entries' must be a list of objects")
-    manifest = DatasetManifest(
-        entries=[ManifestEntry(bag_id=_field(path, e, "bag_id", str), path=_field(path, e, "path", str),
-                               label=_field(path, e, "label", int)) for e in entries],
-        class_count=_field(path, doc, "class_count", int),
-        embedding_dim=_field(path, doc, "embedding_dim", int),
-        meta=doc.get("meta", {}),
-    )
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{path}: 'meta' must be an object, got {meta!r}")
+    try:
+        manifest = DatasetManifest(
+            entries=[ManifestEntry(bag_id=_field(path, e, "bag_id", str),
+                                   path=_field(path, e, "path", str),
+                                   label=_field(path, e, "label", int)) for e in entries],
+            class_count=_field(path, doc, "class_count", int),
+            embedding_dim=_field(path, doc, "embedding_dim", int),
+            meta=meta,
+        )
+    except DomainError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     if check_files:
         manifest.check_files(Path(path).parent)
     return manifest
@@ -395,21 +404,11 @@ class RunConfig:
         return SamplingRatios(**self.raw["ratios"])
 
     def train_config(self) -> TrainConfig:
-        raw = self.raw
-        return TrainConfig(
-            stage1=StageConfig(**raw["stage1"]),
-            stage2=StageConfig(**raw["stage2"]),
-            batch_size=raw["batch_size"],
-            grad_clip=raw["grad_clip"],
-            seed=raw["seed"],
-            ratios=self.ratios(),
-            diffusion=DiffusionConfig(**raw["diffusion"]),
-            model=ModelConfig(**raw["model"]),
-            eval_every=raw["eval_every"],
-            key_dropout=raw["key_dropout"],
-            router_supervision=raw["router_supervision"],
-            routing_noise=raw["routing_noise"],
-        )
+        """``TrainConfig`` with each dataclass-typed field built from its section."""
+        types = get_type_hints(TrainConfig)
+        return TrainConfig(**{
+            f.name: types[f.name](**self.raw[f.name]) if is_dataclass(types[f.name])
+            else self.raw[f.name] for f in fields(TrainConfig)})
 
     def model_extra(self) -> dict:
         """Model-rebuild information stored in checkpoint manifests."""

@@ -175,18 +175,6 @@ def select_routed(probs: np.ndarray, expert_index: int) -> np.ndarray:
     return np.flatnonzero(argmax == accept_side(expert_index))
 
 
-def route(router: Linear, instances: np.ndarray, expert_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Route instances through one expert's router.
-
-    Returns the selected instance indices and the router score (the
-    softmax probability on the expert's accept side) for each of them.
-    """
-    with ad.no_grad():
-        probs = router_probs(router, Tensor(np.asarray(instances))).numpy()
-    selected = select_routed(probs, expert_index)
-    return selected, probs[selected, accept_side(expert_index)]
-
-
 def topk_filter(subset_scores: np.ndarray, alpha: float) -> np.ndarray:
     """Positions of the top ``ceil(alpha * n)`` scores, at least one for a
     non-empty subset; ties keep the lower position."""

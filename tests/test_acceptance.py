@@ -24,7 +24,7 @@ from moediff.io_formats import (load_checkpoint, read_bag, save_checkpoint, writ
 from moediff.metrics import (PredictionRecord, accuracy, aggregate_samples, pavpu,
                              qq_table, ttest_certainty)
 from moediff.moe import (MoEAggregator, SamplingRatios, accept_side, aggregate,
-                         moe_loss, route, topk_filter)
+                         moe_loss, router_probs, select_routed, topk_filter)
 from moediff.nn import Linear
 from moediff.synthetic import SynthSpec, generate_bag, generate_dataset
 from moediff.training import TrainConfig, train_stage1, train_stage2
@@ -258,7 +258,9 @@ def test_routing_suite(benchmark_run):
             router = Linear(8, 2, rng, dtype=np.float64)
             router.bias.data = rng.standard_normal(2)
             r = int(rng.integers(0, 3))
-            idx, scores = route(router, x, r)
+            routed_probs = router_probs(router, Tensor(x)).numpy()
+            idx = select_routed(routed_probs, r)
+            scores = routed_probs[idx, accept_side(r)]
             logits = x @ router.weight.data + router.bias.data
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             probs = e / e.sum(axis=1, keepdims=True)

@@ -218,6 +218,20 @@ def test_constant_operands_get_no_gradient():
         assert grads[1 - constant] is not None
 
 
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ndarray_matmul_defers_to_tensor(dtype):
+    a = randn(2, 3).astype(dtype)
+    w = randn(3, 4)
+    x, y = parameter(w, dtype=dtype), parameter(w, dtype=dtype)
+    reflected, direct = a @ x, ad.matmul(a, y)
+    assert isinstance(reflected, Tensor) and reflected.data.dtype == dtype
+    np.testing.assert_array_equal(reflected.data, direct.data)
+    reflected.sum().backward()
+    direct.sum().backward()
+    assert x.grad.dtype == dtype
+    np.testing.assert_array_equal(x.grad, y.grad)
+
 def _dense_attention(q, k, v, heads, key_mask):
     n, dim = q.shape
     d = dim // heads

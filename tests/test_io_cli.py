@@ -180,6 +180,18 @@ def test_manifest_entries_not_a_list_is_validation_error(tmp_path):
         load_manifest(manifest_path)
 
 
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["entries"][0].update(label=7),
+    lambda doc: doc.update(class_count=0),
+    lambda doc: doc.update(meta=5),
+], ids=["label_out_of_range", "class_count_zero", "meta_not_an_object"])
+def test_manifest_out_of_range_or_non_object_is_validation_error(tmp_path, edit):
+    manifest_path, _ = _two_split_dataset(tmp_path)
+    _edit_manifest(manifest_path, edit)
+    with pytest.raises(ValidationError):
+        load_manifest(manifest_path)
+
 # -- checkpoints --------------------------------------------------------------------
 
 
@@ -420,13 +432,13 @@ def test_cli_eval_matches_library_metrics(cli_workspace):
     work, data, cfg = cli_workspace
     doc = json.loads((work / "report.txt.json").read_text())
 
-    from moediff.cli import _load_stage2_models
+    from moediff.cli import _load_models
     from moediff.evaluate import evaluate
     from moediff.diffusion import default_schedule
     from moediff.moe import SamplingRatios
 
     config = RunConfig.load(cfg)
-    manifest, moe, den = _load_stage2_models(work / "full.mexc")
+    manifest, moe, den = _load_models(work / "full.mexc")
     extra = manifest["extra"]
     _, test_bags = load_bags(data / "test" / "manifest.json")
     sched = default_schedule(extra["diffusion"]["timesteps"], extra["diffusion"]["beta_min"])
@@ -474,6 +486,29 @@ def test_cli_sweep_alpha(cli_workspace, tmp_path):
                                     "auc_macro", "pavpu"]
     assert len(lines) == 4  # comment + header + 2 grid cells
 
+
+
+def test_cli_sweep_alpha_matches_eval_without_prior(cli_workspace, tmp_path):
+    # the sweep trains and samples as train-moe -> train-diff -> eval do,
+    # under the config's own ratios, including diffusion.use_prior
+    _, data, small = cli_workspace
+    cfg = tmp_path / "no_prior.json"
+    doc = json.loads(small.read_text())
+    doc["diffusion"]["use_prior"] = False
+    cfg.write_text(json.dumps(doc))
+    args = ["--config", str(cfg), "--data", str(data)]
+    assert cli(["train-moe", *args, "--out", str(tmp_path / "moe.mexc")]) == 0
+    assert cli(["train-diff", *args, "--moe", str(tmp_path / "moe.mexc"),
+                "--out", str(tmp_path / "full.mexc")]) == 0
+    assert cli(["eval", *args, "--ckpt", str(tmp_path / "full.mexc"),
+                "--report", str(tmp_path / "report.txt")]) == 0
+    ratios = RunConfig.load(cfg).ratios()
+    assert cli(["sweep-alpha", "--grid", f"{ratios.alpha0}x{ratios.alpha1}", *args,
+                "--out", str(tmp_path / "sweep.tsv")]) == 0
+    metrics = json.loads((tmp_path / "report.txt.json").read_text())["metrics"]
+    row = [float(v) for v in (tmp_path / "sweep.tsv").read_text().splitlines()[2].split("\t")]
+    assert row[2:] == pytest.approx([metrics[k] for k in
+                                     ("f1_macro", "accuracy", "auc_macro", "pavpu")], rel=1e-5)
 
 def test_cli_unknown_flag_exits_2(capsys):
     assert cli(["gen", "--nope", "x"]) == 2

@@ -7,8 +7,8 @@ from moediff.core import Bag, ValidationError, one_hot, validate_probability
 from moediff.adapter import adapt
 from moediff.moe import (MoEAggregator, MoEOutput, SamplingRatios, accept_side, aggregate,
                          aggregate_detailed, cross_entropy, expert_summarize, moe_loss,
-                         prior_predict, route, router_supervision_loss, score_table,
-                         select_routed, topk_filter)
+                         prior_predict, router_probs, router_supervision_loss,
+                         score_table, select_routed, topk_filter)
 from moediff.nn import Linear
 
 from gradcheck import check_grads
@@ -41,24 +41,26 @@ def make_bag(n=10, dim=8, seed=0, label=1) -> Bag:
 
 def test_route_constant_router_selects_all_for_negative_expert():
     x = np.random.default_rng(1).standard_normal((7, 8))
-    router = constant_router(8, [0.9, 0.1])
-    idx, scores = route(router, x, expert_index=0)
+    probs = router_probs(constant_router(8, [0.9, 0.1]), Tensor(x)).numpy()
+    idx = select_routed(probs, 0)
+    scores = probs[idx, accept_side(0)]
     assert idx.tolist() == list(range(7))
     assert np.allclose(scores, 0.9)
 
 
 def test_route_constant_router_empty_for_positive_expert():
     x = np.random.default_rng(1).standard_normal((7, 8))
-    router = constant_router(8, [0.9, 0.1])
-    idx, scores = route(router, x, expert_index=1)
+    probs = router_probs(constant_router(8, [0.9, 0.1]), Tensor(x)).numpy()
+    idx = select_routed(probs, 1)
+    scores = probs[idx, accept_side(1)]
     assert idx.size == 0 and scores.size == 0
 
 
 def test_route_tie_resolves_to_positive_side():
     x = np.zeros((3, 8))
-    router = constant_router(8, [0.5, 0.5])
-    idx0, _ = route(router, x, expert_index=0)
-    idx1, _ = route(router, x, expert_index=1)
+    probs = router_probs(constant_router(8, [0.5, 0.5]), Tensor(x)).numpy()
+    idx0 = select_routed(probs, 0)
+    idx1 = select_routed(probs, 1)
     assert idx0.size == 0
     assert idx1.tolist() == [0, 1, 2]
 
@@ -71,7 +73,9 @@ def test_route_matches_brute_force_on_random_routers():
         router = Linear(8, 2, rng, dtype=np.float64)
         router.bias.data = rng.standard_normal(2)
         r = int(rng.integers(0, 3))
-        idx, scores = route(router, x, r)
+        probs = router_probs(router, Tensor(x)).numpy()
+        idx = select_routed(probs, r)
+        scores = probs[idx, accept_side(r)]
         # brute force: recompute softmax per instance, filter by argmax
         logits = x @ router.weight.data + router.bias.data
         expected_idx = []
